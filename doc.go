@@ -91,7 +91,7 @@
 //
 // Config.SimThreads (CLI: -sim-threads) runs one simulation on several
 // cores: the mesh's tiles are partitioned into contiguous blocks, one
-// event heap per block, drained concurrently in conservative time
+// event queue per block, drained concurrently in conservative time
 // windows bounded by the NoC's minimum cross-tile latency (the PDES
 // lookahead). Cross-tile messages are staged during a window, and the
 // window barrier replays each shard's log of dispatches and scheduling

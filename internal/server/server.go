@@ -392,8 +392,13 @@ func handleVersion(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]string{"version": allarm.Version})
 }
 
-// Close cancels everything immediately (tests; production uses Drain).
-func (s *Server) Close() { s.cancel() }
+// Close cancels everything immediately (tests; production uses Drain)
+// and waits for the cancelled sweeps to wind down, drain checkpoints
+// included, so nothing writes to the cache directory after it returns.
+func (s *Server) Close() {
+	s.cancel()
+	s.active.Wait()
+}
 
 func (s *Server) logf(format string, args ...any) {
 	switch {

@@ -42,7 +42,7 @@ const (
 
 // keyedBase positions an instant in the high bits of a key. The +1
 // keeps every runtime key above the dense-rank range that barrier
-// rewrites and restored checkpoint heaps use (see KeyedInsert): a rank
+// rewrites and restored checkpoint queues use (see KeyedInsert): a rank
 // assigned before a window always sorts ahead of a key assigned inside
 // it, exactly as the earlier scheduling call's FIFO seq would have.
 func keyedBase(at Time) uint64 {
@@ -56,7 +56,7 @@ func keyedBase(at Time) uint64 {
 // called before any event is scheduled; a parallel machine sets it on
 // every shard engine at construction.
 func (e *Engine) SetKeyed() {
-	if len(e.queue) != 0 {
+	if e.Pending() != 0 {
 		panic("sim: SetKeyed on an engine with pending events")
 	}
 	e.keyed = true
@@ -82,7 +82,7 @@ func (e *Engine) keyedNext() uint64 {
 
 // KeyedInsert inserts h at time at with an explicit tie-break key —
 // how window barriers insert merged cross-shard deliveries and how a
-// restore distributes a checkpointed heap (dense ranks, which sort
+// restore distributes a checkpointed queue (dense ranks, which sort
 // below every runtime key because keyedBase adds one to the instant).
 // The engine must be in keyed mode and at must not precede Now.
 func (e *Engine) KeyedInsert(at Time, key uint64, h Handler) {
@@ -100,8 +100,9 @@ func (e *Engine) KeyedInsert(at Time, key uint64, h Handler) {
 // false when the queue is empty. Window schedulers use it to skip idle
 // stretches between conservative windows.
 func (e *Engine) NextAt() (Time, bool) {
-	if len(e.queue) == 0 {
+	if e.Pending() == 0 {
 		return 0, false
 	}
-	return e.queue[0].at, true
+	_, it := e.front()
+	return it.at, true
 }

@@ -26,7 +26,7 @@ func TestKeyedSameInstantKeepsSchedulingOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		e.At(100, func(Time) { order = append(order, i) })
+		e.Schedule(100, HandlerFunc(func(Time) { order = append(order, i) }))
 	}
 	e.Run(0)
 	for i, v := range order {
@@ -46,11 +46,11 @@ func TestKeyedOrdersByInstantAcrossEngines(t *testing.T) {
 	var a, b Engine
 	a.SetKeyed()
 	b.SetKeyed()
-	a.At(0, func(Time) { a.At(100, func(Time) {}) })
-	b.At(0, func(Time) {})
+	a.Schedule(0, HandlerFunc(func(Time) { a.Schedule(100, HandlerFunc(func(Time) {})) }))
+	b.Schedule(0, HandlerFunc(func(Time) {}))
 	a.RunUntil(20)
 	b.RunUntil(20)
-	b.At(100, func(Time) {}) // scheduled at instant 20, not 0
+	b.Schedule(100, HandlerFunc(func(Time) {})) // scheduled at instant 20, not 0
 
 	_, aSeqs := pendingKeys(&a)
 	_, bSeqs := pendingKeys(&b)
@@ -69,11 +69,11 @@ func TestWindowLogRecordsDispatchesAndChildren(t *testing.T) {
 	// call order, external actions interleaved at their positions.
 	var e Engine
 	e.SetKeyed()
-	e.At(10, func(Time) {
-		e.At(40, func(Time) {})
+	e.Schedule(10, HandlerFunc(func(Time) {
+		e.Schedule(40, HandlerFunc(func(Time) {}))
 		e.LogExternal(3)
-		e.At(50, func(Time) {})
-	})
+		e.Schedule(50, HandlerFunc(func(Time) {}))
+	}))
 	e.BeginWindowLog()
 	e.RunUntil(20)
 	entries, kids := e.EndWindowLog()
@@ -119,11 +119,11 @@ func TestWindowLogEntriesAreSorted(t *testing.T) {
 	var e Engine
 	e.SetKeyed()
 	for i := 0; i < 4; i++ {
-		e.At(Time(10+i%2), func(now Time) {
+		e.Schedule(Time(10+i%2), HandlerFunc(func(now Time) {
 			if now < 15 {
-				e.At(now+5, func(Time) {})
+				e.Schedule(now+5, HandlerFunc(func(Time) {}))
 			}
-		})
+		}))
 	}
 	e.BeginWindowLog()
 	e.RunUntil(100)
@@ -157,7 +157,7 @@ func TestRewriteSeqsReplacesPendingKeys(t *testing.T) {
 	var order []int
 	for i := 0; i < 3; i++ {
 		i := i
-		e.At(100, func(Time) { order = append(order, i) })
+		e.Schedule(100, HandlerFunc(func(Time) { order = append(order, i) }))
 	}
 	_, before := pendingKeys(&e)
 	e.RewriteSeqs(func(at Time, seq uint64) uint64 {
@@ -204,7 +204,7 @@ func TestKeyedInsertRanksSortBelowRuntimeKeys(t *testing.T) {
 	var e Engine
 	e.SetKeyed()
 	var order []int
-	e.At(100, HandlerFunc(func(Time) { order = append(order, 2) }).Handle)
+	e.Schedule(100, HandlerFunc(func(Time) { order = append(order, 2) }))
 	e.KeyedInsert(100, 1, HandlerFunc(func(Time) { order = append(order, 1) }))
 	e.Run(0)
 	if len(order) != 2 || order[0] != 1 {
@@ -229,7 +229,7 @@ func TestSetKeyedWithPendingPanics(t *testing.T) {
 		}
 	}()
 	var e Engine
-	e.At(0, func(Time) {})
+	e.Schedule(0, HandlerFunc(func(Time) {}))
 	e.SetKeyed()
 }
 
@@ -248,7 +248,7 @@ func TestKeyedTimeRangeOverflowPanics(t *testing.T) {
 			t.Fatalf("overflow panic does not mention the serial fallback: %v", p)
 		}
 	}()
-	e.At(maxKeyedTime+5, func(now Time) { e.At(now+1, func(Time) {}) })
+	e.Schedule(maxKeyedTime+5, HandlerFunc(func(now Time) { e.Schedule(now+1, HandlerFunc(func(Time) {})) }))
 	e.Run(0)
 }
 
@@ -257,8 +257,8 @@ func TestNextAt(t *testing.T) {
 	if _, ok := e.NextAt(); ok {
 		t.Fatal("NextAt on an empty queue reported an event")
 	}
-	e.At(30, func(Time) {})
-	e.At(10, func(Time) {})
+	e.Schedule(30, HandlerFunc(func(Time) {}))
+	e.Schedule(10, HandlerFunc(func(Time) {}))
 	if at, ok := e.NextAt(); !ok || at != 10 {
 		t.Fatalf("NextAt = (%v, %v), want (10, true)", at, ok)
 	}

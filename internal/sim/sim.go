@@ -9,26 +9,38 @@
 //
 // # Event queue
 //
-// The queue is a hand-rolled monomorphic 4-ary heap over concrete item
-// values. Compared to container/heap it avoids the interface{} boxing
-// that used to cost one heap allocation per scheduled event, and the
-// shallower tree halves the number of swap levels per operation (pops
-// do three extra comparisons per level but one fewer level of cache
-// misses, a win for the multi-million-event queues whole-machine runs
-// build up). Vacated slots are zeroed on every pop and drain so the
-// backing array never keeps a fired event's closure — and everything it
-// captured — reachable.
+// The queue is a calendar wheel (a timing wheel) sized for the traffic a
+// whole-machine run produces: a few dozen pending events (well under
+// 200 at peak), most of them due within a nanosecond or two of Now and
+// nearly all within a few tens of nanoseconds. The wheel has
+// wheelBuckets buckets of 2^wheelShift ps each; an event due within that
+// horizon of Now's bucket goes into the bucket for its time, and
+// anything later goes to a small 4-ary min-heap (the far heap).
+//
+// Each bucket is a singly linked list kept sorted by (at, seq), its
+// nodes linked by index inside one node slab shared by every bucket,
+// with a free list for reuse — so steady-state scheduling allocates
+// nothing and the wheel holds no per-bucket containers. An insert walks
+// its bucket from the head, or from the previously inserted node when
+// that node is in the same bucket and ordered before the new event, so
+// runs of same-instant ties and rising times insert without a walk. An
+// occupancy bitmap finds the first non-empty bucket from Now's bucket
+// in a handful of word scans. Pop takes the earlier, by (at, seq), of
+// that bucket's head and the far heap's top; far events are never
+// migrated into the wheel, which keeps the two structures independent.
+// Vacated slab nodes and heap slots are zeroed so a fired event's
+// handler does not stay reachable from the queue.
 //
 // # Events and handlers
 //
-// Callbacks come in two forms. An Event is a closure, convenient for
-// one-off occurrences. A Handler is a typed object with a Handle method,
-// meant for recurring activities (message deliveries, controller
-// pipelines, CPU issue loops): a model component allocates its handler
-// once — or keeps a free list of them — and re-schedules it for every
-// occurrence, so steady-state simulation schedules no memory at all.
-// Both forms share one queue and one FIFO tie-break sequence, so mixing
-// them cannot perturb event order.
+// Every event is a Handler: a typed object with a Handle method. A
+// model component allocates its handler once — or keeps a free list of
+// them (FreeList) — and re-schedules it for every occurrence (message
+// deliveries, controller pipelines, CPU issue loops), so steady-state
+// simulation schedules no memory at all, and a checkpoint can encode
+// every pending event through the handler's concrete type. HandlerFunc
+// adapts a plain function for tests and one-off uses; such an event
+// cannot be checkpointed.
 //
 // # Cancellation
 //
@@ -45,6 +57,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math/bits"
 )
 
 // Time is a simulated timestamp in picoseconds since the start of the run.
@@ -64,11 +77,6 @@ func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
 // String renders the time in nanoseconds for logs and test failures.
 func (t Time) String() string { return fmt.Sprintf("%gns", t.Nanoseconds()) }
 
-// Event is a scheduled callback closure. It runs at the event's
-// timestamp. For recurring activities prefer Handler, which can be
-// allocated once and rescheduled for free.
-type Event func(now Time)
-
 // Handler is a typed event target: Handle runs at the scheduled time.
 // Handlers exist so hot-path components can preallocate (and pool) their
 // callback state instead of allocating a fresh closure per event.
@@ -85,12 +93,11 @@ type HandlerFunc func(now Time)
 // Handle implements Handler.
 func (f HandlerFunc) Handle(now Time) { f(now) }
 
-// item is one queued event: exactly one of fire/h is set.
+// item is one queued event.
 type item struct {
-	at   Time
-	seq  uint64
-	fire Event
-	h    Handler
+	at  Time
+	seq uint64
+	h   Handler
 }
 
 // before reports the queue ordering: earlier time first, FIFO on ties.
@@ -99,6 +106,22 @@ func (a *item) before(b *item) bool {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
+}
+
+// Calendar wheel geometry: wheelBuckets buckets of 2^wheelShift ps, a
+// horizon of about 262 ns. Events due at or beyond the horizon go to the
+// far heap.
+const (
+	wheelShift   = 10
+	wheelBuckets = 256
+	wheelMask    = wheelBuckets - 1
+)
+
+// node is one wheel event in the slab. Links are slab index + 1, so
+// the zero link ends a list and a zero Engine has empty buckets.
+type node struct {
+	it   item
+	next int32
 }
 
 // Engine is a single-threaded discrete-event scheduler.
@@ -112,9 +135,19 @@ func (a *item) before(b *item) bool {
 type Engine struct {
 	now     Time
 	seq     uint64
-	queue   []item // 4-ary min-heap ordered by (at, seq)
 	stopped bool
 	fired   uint64
+
+	// The queue (see the package doc): wheel buckets over one node
+	// slab, plus the far heap. Bucket heads and the free list hold
+	// slab index + 1; zero means empty.
+	nodes   []node
+	free    int32
+	head    [wheelBuckets]int32
+	occ     [wheelBuckets / 64]uint64 // bit b set: bucket b is non-empty
+	inWheel int                       // events in the wheel
+	finger  int32                     // the last node inserted; 0 once it fired
+	far     []item                    // 4-ary min-heap ordered by (at, seq)
 
 	// Keyed tie-break state (see keyed.go); serial engines never touch
 	// these beyond the single keyed branch in nextSeq.
@@ -152,12 +185,110 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return e.inWheel + len(e.far) }
 
-// push inserts it, restoring the heap invariant by sifting up.
+// push inserts it into its wheel bucket, or into the far heap when it
+// is due at or beyond the horizon of Now's bucket.
 func (e *Engine) push(it item) {
-	q := append(e.queue, it)
-	e.queue = q
+	if uint64(it.at>>wheelShift-e.now>>wheelShift) >= wheelBuckets {
+		e.pushFar(it)
+		return
+	}
+	i := e.free
+	if i != 0 {
+		e.free = e.nodes[i-1].next
+	} else {
+		e.nodes = append(e.nodes, node{})
+		i = int32(len(e.nodes))
+	}
+	n := &e.nodes[i-1]
+	n.it = it
+	// Link it before the first node ordered after it, walking from the
+	// finger when that is an earlier node of the same bucket. Callers
+	// insert in any (at, seq) order — RestorePending and KeyedInsert
+	// do — so the bucket is kept sorted rather than appended to.
+	b := int(it.at>>wheelShift) & wheelMask
+	link := &e.head[b]
+	if f := e.finger; f != 0 {
+		if fn := &e.nodes[f-1]; int(fn.it.at>>wheelShift)&wheelMask == b && fn.it.before(&it) {
+			link = &fn.next
+		}
+	}
+	for *link != 0 && e.nodes[*link-1].it.before(&it) {
+		link = &e.nodes[*link-1].next
+	}
+	n.next = *link
+	*link = i
+	e.finger = i
+	e.occ[b>>6] |= 1 << (b & 63)
+	e.inWheel++
+}
+
+// front locates the earliest pending event: bucket b's head, or the far
+// heap's top when b < 0. The queue must be non-empty.
+func (e *Engine) front() (b int, it *item) {
+	if e.inWheel == 0 {
+		return -1, &e.far[0]
+	}
+	b = e.firstBucket()
+	it = &e.nodes[e.head[b]-1].it
+	if len(e.far) > 0 && e.far[0].before(it) {
+		return -1, &e.far[0]
+	}
+	return b, it
+}
+
+// firstBucket returns the first non-empty bucket at or after Now's. All
+// wheel events lie within one horizon of Now's bucket, so circular
+// bucket order from there is time order. The wheel must be non-empty.
+func (e *Engine) firstBucket() int {
+	c := int(e.now>>wheelShift) & wheelMask
+	w := c >> 6
+	if m := e.occ[w] >> (c & 63); m != 0 {
+		return c + bits.TrailingZeros64(m)
+	}
+	for k := 1; ; k++ {
+		w = (w + 1) & (len(e.occ) - 1)
+		if m := e.occ[w]; m != 0 || k == len(e.occ) {
+			return w<<6 + bits.TrailingZeros64(m)
+		}
+	}
+}
+
+// take removes and returns the event front reported: bucket b's head,
+// or the far heap's top when b < 0. The vacated node or slot is zeroed
+// so the queue releases its handler reference.
+func (e *Engine) take(b int) item {
+	if b < 0 {
+		return e.popFar()
+	}
+	i := e.head[b]
+	n := &e.nodes[i-1]
+	it := n.it
+	e.head[b] = n.next
+	if n.next == 0 {
+		e.occ[b>>6] &^= 1 << (b & 63)
+	}
+	*n = node{next: e.free}
+	e.free = i
+	if e.finger == i {
+		e.finger = 0
+	}
+	e.inWheel--
+	return it
+}
+
+// pop removes and returns the earliest event. The queue must be
+// non-empty.
+func (e *Engine) pop() item {
+	b, _ := e.front()
+	return e.take(b)
+}
+
+// pushFar inserts it into the far heap, sifting up.
+func (e *Engine) pushFar(it item) {
+	q := append(e.far, it)
+	e.far = q
 	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
@@ -169,16 +300,16 @@ func (e *Engine) push(it item) {
 	}
 }
 
-// pop removes and returns the earliest event. The vacated tail slot is
-// zeroed so the backing array releases its references.
-func (e *Engine) pop() item {
-	q := e.queue
+// popFar removes and returns the far heap's top. The vacated tail slot
+// is zeroed so the backing array releases its reference.
+func (e *Engine) popFar() item {
+	q := e.far
 	top := q[0]
 	n := len(q) - 1
 	it := q[n]
 	q[n] = item{}
 	q = q[:n]
-	e.queue = q
+	e.far = q
 	if n == 0 {
 		return top
 	}
@@ -219,26 +350,9 @@ func (e *Engine) checkTime(at Time) {
 	}
 }
 
-// At schedules fn to run at the absolute time at. Scheduling in the past
-// panics (see checkTime).
-func (e *Engine) At(at Time, fn Event) {
-	e.checkTime(at)
-	if fn == nil {
-		panic("sim: nil event")
-	}
-	seq := e.nextSeq()
-	if e.logOn {
-		e.logKids = append(e.logKids, LogChild{At: at, Seq: seq, Ext: -1})
-	}
-	e.push(item{at: at, seq: seq, fire: fn})
-}
-
-// After schedules fn to run delay picoseconds from now. Negative delays
-// panic (see At).
-func (e *Engine) After(delay Time, fn Event) { e.At(e.now+delay, fn) }
-
-// Schedule schedules h.Handle to run at the absolute time at. It is the
-// Handler counterpart of At and shares its queue and tie-break order.
+// Schedule schedules h.Handle to run at the absolute time at.
+// Scheduling in the past panics (see checkTime); same-time events fire
+// in scheduling order.
 func (e *Engine) Schedule(at Time, h Handler) {
 	e.checkTime(at)
 	if h == nil {
@@ -252,6 +366,7 @@ func (e *Engine) Schedule(at Time, h Handler) {
 }
 
 // ScheduleAfter schedules h.Handle to run delay picoseconds from now.
+// Negative delays panic (see Schedule).
 func (e *Engine) ScheduleAfter(delay Time, h Handler) { e.Schedule(e.now+delay, h) }
 
 // dispatch fires one popped event.
@@ -260,11 +375,7 @@ func (e *Engine) dispatch(it *item) {
 	if e.logOn {
 		e.log = append(e.log, LogEntry{At: it.at, Seq: it.seq, Kids: int32(len(e.logKids))})
 	}
-	if it.fire != nil {
-		it.fire(it.at)
-	} else {
-		it.h.Handle(it.at)
-	}
+	it.h.Handle(it.at)
 	e.fired++
 }
 
@@ -278,7 +389,7 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Run(limit uint64) uint64 {
 	e.stopped = false
 	var fired uint64
-	for len(e.queue) > 0 && !e.stopped {
+	for e.Pending() > 0 && !e.stopped {
 		if limit > 0 && fired >= limit {
 			break
 		}
@@ -294,11 +405,12 @@ func (e *Engine) Run(limit uint64) uint64 {
 func (e *Engine) RunUntil(deadline Time) uint64 {
 	e.stopped = false
 	var fired uint64
-	for len(e.queue) > 0 && !e.stopped {
-		if e.queue[0].at > deadline {
+	for e.Pending() > 0 && !e.stopped {
+		b, next := e.front()
+		if next.at > deadline {
 			break
 		}
-		it := e.pop()
+		it := e.take(b)
 		e.dispatch(&it)
 		fired++
 	}
@@ -335,7 +447,7 @@ func (e *Engine) RunCtx(ctx context.Context, limit uint64) (uint64, error) {
 	e.stopped = false
 	var fired uint64
 	check := uint64(CancelCheckBudget)
-	for len(e.queue) > 0 && !e.stopped {
+	for e.Pending() > 0 && !e.stopped {
 		if limit > 0 && fired >= limit {
 			break
 		}
@@ -372,8 +484,9 @@ func (e *Engine) RunUntilCtx(ctx context.Context, deadline Time) (uint64, error)
 	e.stopped = false
 	var fired uint64
 	check := uint64(CancelCheckBudget)
-	for len(e.queue) > 0 && !e.stopped {
-		if e.queue[0].at > deadline {
+	for e.Pending() > 0 && !e.stopped {
+		b, next := e.front()
+		if next.at > deadline {
 			break
 		}
 		if fired >= check {
@@ -384,7 +497,7 @@ func (e *Engine) RunUntilCtx(ctx context.Context, deadline Time) (uint64, error)
 			default:
 			}
 		}
-		it := e.pop()
+		it := e.take(b)
 		e.dispatch(&it)
 		fired++
 	}
@@ -395,50 +508,18 @@ func (e *Engine) RunUntilCtx(ctx context.Context, deadline Time) (uint64, error)
 }
 
 // Drain discards all pending events without firing them. Now is
-// unchanged. Discarded slots are zeroed so their callbacks become
-// collectable.
+// unchanged. The slab and the far heap are zeroed so the discarded
+// handlers become collectable; both keep their capacity for reuse.
 func (e *Engine) Drain() {
-	for i := range e.queue {
-		e.queue[i] = item{}
-	}
-	e.queue = e.queue[:0]
-}
-
-// Ticker invokes a fixed callback every period until Cancel is called.
-// It exists for periodic model activities such as thread-migration
-// experiments. The Ticker is its own Handler: one allocation covers
-// every tick.
-type Ticker struct {
-	e         *Engine
-	period    Time
-	fn        Event
-	cancelled bool
-}
-
-// Cancel stops future ticks. Safe to call multiple times, including from
-// inside the tick callback itself.
-func (t *Ticker) Cancel() { t.cancelled = true }
-
-// Handle fires one tick and reschedules the next unless cancelled.
-func (t *Ticker) Handle(now Time) {
-	if t.cancelled {
-		return
-	}
-	t.fn(now)
-	if !t.cancelled {
-		t.e.Schedule(now+t.period, t)
-	}
-}
-
-// Tick schedules fn every period starting at now+period. fn receives the
-// tick time. period must be positive.
-func (e *Engine) Tick(period Time, fn Event) *Ticker {
-	if period <= 0 {
-		panic("sim: Tick with non-positive period")
-	}
-	t := &Ticker{e: e, period: period, fn: fn}
-	e.Schedule(e.now+period, t)
-	return t
+	clear(e.nodes)
+	e.nodes = e.nodes[:0]
+	e.free = 0
+	e.finger = 0
+	e.head = [wheelBuckets]int32{}
+	e.occ = [wheelBuckets / 64]uint64{}
+	e.inWheel = 0
+	clear(e.far)
+	e.far = e.far[:0]
 }
 
 // FreeList is a LIFO free list of pointer-to-T records, the common

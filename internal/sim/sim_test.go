@@ -3,7 +3,9 @@ package sim
 import (
 	"context"
 	"errors"
+	"math/rand/v2"
 	"testing"
+	"unsafe"
 )
 
 // selfScheduler keeps one event in the queue forever, modelling a
@@ -24,8 +26,8 @@ func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 	var a, b Engine
 	for i := 0; i < 100; i++ {
 		at := Time(i)
-		a.At(at, func(Time) {})
-		b.At(at, func(Time) {})
+		a.Schedule(at, HandlerFunc(func(Time) {}))
+		b.Schedule(at, HandlerFunc(func(Time) {}))
 	}
 	na := a.Run(0)
 	nb, err := b.RunCtx(context.Background(), 0)
@@ -67,7 +69,7 @@ func TestRunCtxCancelFromEvent(t *testing.T) {
 	e.Schedule(1, s)
 	ctx, cancel := context.WithCancel(context.Background())
 	stop := CancelCheckBudget / 2
-	e.At(Time(stop), func(Time) { cancel() })
+	e.Schedule(Time(stop), HandlerFunc(func(Time) { cancel() }))
 	fired, err := e.RunCtx(ctx, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -87,7 +89,7 @@ func TestRunCtxResumeAfterCancel(t *testing.T) {
 	const total = 10 * CancelCheckBudget
 	var fired int
 	for i := 1; i <= total; i++ {
-		e.At(Time(i), func(Time) { fired++ })
+		e.Schedule(Time(i), HandlerFunc(func(Time) { fired++ }))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -126,7 +128,7 @@ func TestRunUntilCtxCancel(t *testing.T) {
 	}
 	// And with a background context it behaves exactly like RunUntil.
 	var f Engine
-	f.At(5, func(Time) {})
+	f.Schedule(5, HandlerFunc(func(Time) {}))
 	if _, err := f.RunUntilCtx(context.Background(), 100); err != nil {
 		t.Fatal(err)
 	}
@@ -138,9 +140,9 @@ func TestRunUntilCtxCancel(t *testing.T) {
 func TestEventOrdering(t *testing.T) {
 	var e Engine
 	var order []int
-	e.At(30, func(Time) { order = append(order, 3) })
-	e.At(10, func(Time) { order = append(order, 1) })
-	e.At(20, func(Time) { order = append(order, 2) })
+	e.Schedule(30, HandlerFunc(func(Time) { order = append(order, 3) }))
+	e.Schedule(10, HandlerFunc(func(Time) { order = append(order, 1) }))
+	e.Schedule(20, HandlerFunc(func(Time) { order = append(order, 2) }))
 	e.Run(0)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
@@ -155,7 +157,7 @@ func TestFIFOTieBreak(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(100, func(Time) { order = append(order, i) })
+		e.Schedule(100, HandlerFunc(func(Time) { order = append(order, i) }))
 	}
 	e.Run(0)
 	for i, v := range order {
@@ -167,14 +169,14 @@ func TestFIFOTieBreak(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	var e Engine
-	e.At(100, func(Time) {})
+	e.Schedule(100, HandlerFunc(func(Time) {}))
 	e.Run(0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic for past event")
 		}
 	}()
-	e.At(50, func(Time) {})
+	e.Schedule(50, HandlerFunc(func(Time) {}))
 }
 
 func TestNilEventPanics(t *testing.T) {
@@ -184,15 +186,15 @@ func TestNilEventPanics(t *testing.T) {
 			t.Fatal("no panic for nil event")
 		}
 	}()
-	e.At(1, nil)
+	e.ScheduleAfter(1, nil)
 }
 
 func TestAfterIsRelative(t *testing.T) {
 	var e Engine
 	var at Time
-	e.At(100, func(now Time) {
-		e.After(50, func(now Time) { at = now })
-	})
+	e.Schedule(100, HandlerFunc(func(now Time) {
+		e.ScheduleAfter(50, HandlerFunc(func(now Time) { at = now }))
+	}))
 	e.Run(0)
 	if at != 150 {
 		t.Fatalf("After fired at %v, want 150", at)
@@ -202,7 +204,7 @@ func TestAfterIsRelative(t *testing.T) {
 func TestRunLimit(t *testing.T) {
 	var e Engine
 	for i := 0; i < 10; i++ {
-		e.At(Time(i), func(Time) {})
+		e.Schedule(Time(i), HandlerFunc(func(Time) {}))
 	}
 	if fired := e.Run(4); fired != 4 {
 		t.Fatalf("fired %d, want 4", fired)
@@ -215,8 +217,8 @@ func TestRunLimit(t *testing.T) {
 func TestStop(t *testing.T) {
 	var e Engine
 	ran := 0
-	e.At(1, func(Time) { ran++; e.Stop() })
-	e.At(2, func(Time) { ran++ })
+	e.Schedule(1, HandlerFunc(func(Time) { ran++; e.Stop() }))
+	e.Schedule(2, HandlerFunc(func(Time) { ran++ }))
 	e.Run(0)
 	if ran != 1 {
 		t.Fatalf("ran %d events, want 1", ran)
@@ -231,7 +233,7 @@ func TestRunUntil(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{5, 15, 25} {
 		at := at
-		e.At(at, func(Time) { fired = append(fired, at) })
+		e.Schedule(at, HandlerFunc(func(Time) { fired = append(fired, at) }))
 	}
 	e.RunUntil(20)
 	if len(fired) != 2 {
@@ -248,7 +250,7 @@ func TestRunUntil(t *testing.T) {
 
 func TestDrain(t *testing.T) {
 	var e Engine
-	e.At(1, func(Time) { t.Fatal("drained event fired") })
+	e.Schedule(1, HandlerFunc(func(Time) { t.Fatal("drained event fired") }))
 	e.Drain()
 	if e.Run(0) != 0 {
 		t.Fatal("events after drain")
@@ -258,14 +260,14 @@ func TestDrain(t *testing.T) {
 func TestEventsScheduleEvents(t *testing.T) {
 	var e Engine
 	depth := 0
-	var recurse Event
+	var recurse HandlerFunc
 	recurse = func(now Time) {
 		if depth < 100 {
 			depth++
-			e.After(1, recurse)
+			e.ScheduleAfter(1, recurse)
 		}
 	}
-	e.At(0, recurse)
+	e.Schedule(0, recurse)
 	e.Run(0)
 	if depth != 100 {
 		t.Fatalf("depth = %d", depth)
@@ -273,35 +275,6 @@ func TestEventsScheduleEvents(t *testing.T) {
 	if e.Now() != 100 {
 		t.Fatalf("Now = %v", e.Now())
 	}
-}
-
-func TestTicker(t *testing.T) {
-	var e Engine
-	ticks := 0
-	var tk *Ticker
-	tk = e.Tick(10, func(now Time) {
-		ticks++
-		if ticks == 5 {
-			tk.Cancel()
-		}
-	})
-	e.Run(0)
-	if ticks != 5 {
-		t.Fatalf("ticks = %d", ticks)
-	}
-	if e.Now() != 50 {
-		t.Fatalf("Now = %v", e.Now())
-	}
-}
-
-func TestTickNonPositivePanics(t *testing.T) {
-	var e Engine
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	e.Tick(0, func(Time) {})
 }
 
 func TestTimeString(t *testing.T) {
@@ -313,7 +286,7 @@ func TestTimeString(t *testing.T) {
 func TestFiredCounter(t *testing.T) {
 	var e Engine
 	for i := 0; i < 7; i++ {
-		e.At(Time(i), func(Time) {})
+		e.Schedule(Time(i), HandlerFunc(func(Time) {}))
 	}
 	e.Run(0)
 	if e.Fired() != 7 {
@@ -327,7 +300,7 @@ func TestHandlerScheduling(t *testing.T) {
 	h := handlerFunc(func(now Time) { got = append(got, now) })
 	e.Schedule(10, h)
 	e.Schedule(30, h)
-	e.At(20, func(now Time) { got = append(got, now) })
+	e.Schedule(20, HandlerFunc(func(now Time) { got = append(got, now) }))
 	e.Run(0)
 	if len(got) != 3 || got[0] != 10 || got[1] != 20 || got[2] != 30 {
 		t.Fatalf("fire times = %v", got)
@@ -340,8 +313,8 @@ type handlerFunc func(now Time)
 func (f handlerFunc) Handle(now Time) { f(now) }
 
 func TestHandlerFIFOTieBreakWithEvents(t *testing.T) {
-	// Handlers and closures share one sequence counter, so same-time
-	// events fire in scheduling order regardless of form.
+	// Every handler type shares one sequence counter, so same-time
+	// events fire in scheduling order regardless of type.
 	var e Engine
 	var order []int
 	for i := 0; i < 10; i++ {
@@ -349,7 +322,7 @@ func TestHandlerFIFOTieBreakWithEvents(t *testing.T) {
 		if i%2 == 0 {
 			e.Schedule(100, handlerFunc(func(Time) { order = append(order, i) }))
 		} else {
-			e.At(100, func(Time) { order = append(order, i) })
+			e.Schedule(100, HandlerFunc(func(Time) { order = append(order, i) }))
 		}
 	}
 	e.Run(0)
@@ -372,7 +345,7 @@ func TestNilHandlerPanics(t *testing.T) {
 
 func TestScheduleHandlerInPastPanics(t *testing.T) {
 	var e Engine
-	e.At(100, func(Time) {})
+	e.Schedule(100, HandlerFunc(func(Time) {}))
 	e.Run(0)
 	defer func() {
 		if recover() == nil {
@@ -384,8 +357,8 @@ func TestScheduleHandlerInPastPanics(t *testing.T) {
 
 func TestDrainThenReuse(t *testing.T) {
 	var e Engine
-	e.At(10, func(Time) { t.Fatal("drained event fired") })
-	e.At(20, func(Time) { t.Fatal("drained event fired") })
+	e.Schedule(10, HandlerFunc(func(Time) { t.Fatal("drained event fired") }))
+	e.Schedule(20, HandlerFunc(func(Time) { t.Fatal("drained event fired") }))
 	e.Drain()
 	if e.Pending() != 0 {
 		t.Fatalf("pending after drain = %d", e.Pending())
@@ -393,8 +366,8 @@ func TestDrainThenReuse(t *testing.T) {
 	// The engine must be fully usable after Drain: same clock, fresh
 	// events fire normally.
 	var fired []Time
-	e.At(15, func(now Time) { fired = append(fired, now) })
-	e.At(5, func(now Time) { fired = append(fired, now) })
+	e.Schedule(15, HandlerFunc(func(now Time) { fired = append(fired, now) }))
+	e.Schedule(5, HandlerFunc(func(now Time) { fired = append(fired, now) }))
 	if n := e.Run(0); n != 2 {
 		t.Fatalf("fired %d events after reuse, want 2", n)
 	}
@@ -406,33 +379,12 @@ func TestDrainThenReuse(t *testing.T) {
 	}
 }
 
-func TestTickerCancelInsideOwnTick(t *testing.T) {
-	var e Engine
-	ticks := 0
-	var tk *Ticker
-	tk = e.Tick(10, func(now Time) {
-		ticks++
-		tk.Cancel()
-		tk.Cancel() // double-cancel inside the tick is allowed
-	})
-	e.Run(0)
-	if ticks != 1 {
-		t.Fatalf("ticks = %d, want 1", ticks)
-	}
-	if e.Now() != 10 {
-		t.Fatalf("Now = %v, want 10 (no further tick scheduled)", e.Now())
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("cancelled ticker left %d pending events", e.Pending())
-	}
-}
-
 func TestRunUntilEventExactlyAtDeadline(t *testing.T) {
 	var e Engine
 	var fired []Time
 	for _, at := range []Time{10, 20, 21} {
 		at := at
-		e.At(at, func(Time) { fired = append(fired, at) })
+		e.Schedule(at, HandlerFunc(func(Time) { fired = append(fired, at) }))
 	}
 	if n := e.RunUntil(20); n != 2 {
 		t.Fatalf("fired %d events, want 2 (deadline is inclusive)", n)
@@ -450,7 +402,7 @@ func TestRunLimitResume(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(Time(10*(i+1)), func(Time) { order = append(order, i) })
+		e.Schedule(Time(10*(i+1)), HandlerFunc(func(Time) { order = append(order, i) }))
 	}
 	if fired := e.Run(3); fired != 3 {
 		t.Fatalf("first Run fired %d, want 3", fired)
@@ -471,25 +423,47 @@ func TestRunLimitResume(t *testing.T) {
 	}
 }
 
+// heldHandlers counts the handler references the queue holds anywhere
+// in its storage: every slab node and every far-heap slot up to
+// capacity, live or vacated.
+func heldHandlers(e *Engine) int {
+	n := 0
+	for _, nd := range e.nodes[:cap(e.nodes)] {
+		if nd.it.h != nil {
+			n++
+		}
+	}
+	for _, it := range e.far[:cap(e.far)] {
+		if it.h != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// spreadAt spaces test events 7 ns apart, so a few dozen of them span
+// both the wheel and the far heap.
+func spreadAt(i int) Time { return Time(i) * 7 * Nanosecond }
+
 // TestQueueReleasesReferencesAfterRun is the regression test for the old
 // eventHeap.Pop, which left each popped item's closure reachable in the
-// backing array: after a run drains, no slot of the queue's capacity may
+// backing array: after a run drains, no slab node or far-heap slot may
 // still reference a callback.
 func TestQueueReleasesReferencesAfterRun(t *testing.T) {
 	var e Engine
 	for i := 0; i < 100; i++ {
 		payload := make([]byte, 1<<10)
-		e.At(Time(i), func(Time) { _ = payload })
+		e.Schedule(spreadAt(i), HandlerFunc(func(Time) { _ = payload }))
 		if i%3 == 0 {
-			e.Schedule(Time(i), handlerFunc(func(Time) {}))
+			e.Schedule(spreadAt(i), handlerFunc(func(Time) {}))
 		}
 	}
+	if len(e.far) == 0 || e.inWheel == 0 {
+		t.Fatalf("test events cover %d wheel and %d far events, want both", e.inWheel, len(e.far))
+	}
 	e.Run(0)
-	full := e.queue[:cap(e.queue)]
-	for i := range full {
-		if full[i].fire != nil || full[i].h != nil {
-			t.Fatalf("queue slot %d still references a callback after drain", i)
-		}
+	if n := heldHandlers(&e); n != 0 {
+		t.Fatalf("queue storage still references %d callbacks after drain", n)
 	}
 }
 
@@ -498,29 +472,22 @@ func TestQueueReleasesReferencesAfterRun(t *testing.T) {
 func TestRunLimitReleasesPoppedSlots(t *testing.T) {
 	var e Engine
 	for i := 0; i < 50; i++ {
-		e.At(Time(i), func(Time) {})
+		e.Schedule(spreadAt(i), HandlerFunc(func(Time) {}))
 	}
 	e.Run(20)
-	live := len(e.queue)
-	full := e.queue[:cap(e.queue)]
-	for i := live; i < len(full); i++ {
-		if full[i].fire != nil || full[i].h != nil {
-			t.Fatalf("vacated slot %d still references a callback (live=%d)", i, live)
-		}
+	if n, live := heldHandlers(&e), e.Pending(); n != live {
+		t.Fatalf("queue storage references %d callbacks, want the %d live ones", n, live)
 	}
 }
 
 func TestDrainReleasesReferences(t *testing.T) {
 	var e Engine
 	for i := 0; i < 50; i++ {
-		e.At(Time(i), func(Time) {})
+		e.Schedule(spreadAt(i), HandlerFunc(func(Time) {}))
 	}
 	e.Drain()
-	full := e.queue[:cap(e.queue)]
-	for i := range full {
-		if full[i].fire != nil || full[i].h != nil {
-			t.Fatalf("queue slot %d still references a callback after Drain", i)
-		}
+	if n := heldHandlers(&e); n != 0 {
+		t.Fatalf("queue storage still references %d callbacks after Drain", n)
 	}
 }
 
@@ -539,9 +506,8 @@ func (c *churnHandler) Handle(now Time) {
 }
 
 // BenchmarkEngineChurn measures the scheduler's steady-state cost:
-// preallocated handlers churning through a populated queue. With the
-// monomorphic heap this runs allocation-free once the queue's backing
-// array has grown.
+// preallocated handlers churning through a populated queue. It runs
+// allocation-free once the queue's slab and far heap have grown.
 func BenchmarkEngineChurn(b *testing.B) {
 	const width = 1024
 	var e Engine
@@ -553,6 +519,76 @@ func BenchmarkEngineChurn(b *testing.B) {
 			e.Schedule(e.Now()+Time(j), &handlers[j])
 		}
 		e.Run(0)
+	}
+}
+
+// traffic replays the event-queue traffic of a whole-machine run:
+// trafficDepth self-rescheduling events (the measured mean pending depth
+// is 37–52) whose delays follow the measured mix — about half under
+// 1 ns, a fifth 1–2 ns, most of the rest 11–61 ns — plus a small tail
+// beyond the wheel's horizon that exercises the far heap.
+type traffic struct {
+	e      Engine
+	delays [4096]Time
+	i      int
+}
+
+const trafficDepth = 45
+
+// trafficEvent is one of the traffic's recurring events.
+type trafficEvent struct{ t *traffic }
+
+func (ev *trafficEvent) Handle(Time) {
+	t := ev.t
+	t.e.ScheduleAfter(t.delays[t.i%len(t.delays)], ev)
+	t.i++
+}
+
+func newTraffic() *traffic {
+	t := &traffic{}
+	r := rand.New(rand.NewPCG(1, 2))
+	for i := range t.delays {
+		switch p := r.IntN(100); {
+		case p < 48:
+			t.delays[i] = Time(r.IntN(1000))
+		case p < 68:
+			t.delays[i] = 1000 + Time(r.IntN(1000))
+		case p < 98:
+			t.delays[i] = 11000 + Time(r.IntN(50000))
+		default:
+			t.delays[i] = 300*Nanosecond + Time(r.IntN(700000))
+		}
+	}
+	for i := 0; i < trafficDepth; i++ {
+		t.e.Schedule(Time(i*100), &trafficEvent{t: t})
+	}
+	t.e.Run(100000) // grow the slab and the far heap to steady state
+	return t
+}
+
+// BenchmarkEngineTraffic measures one schedule/pop/dispatch cycle (one
+// op) on the measured whole-machine traffic shape.
+func BenchmarkEngineTraffic(b *testing.B) {
+	t := newTraffic()
+	b.ReportAllocs()
+	b.ResetTimer()
+	t.e.Run(uint64(b.N))
+}
+
+// TestEngineTrafficZeroAllocs guards the slab design: once the queue is
+// warm, scheduling and popping events allocates nothing.
+func TestEngineTrafficZeroAllocs(t *testing.T) {
+	tr := newTraffic()
+	if allocs := testing.AllocsPerRun(50, func() { tr.e.Run(1000) }); allocs != 0 {
+		t.Fatalf("%v allocations per 1000 warm schedule/pop cycles, want 0", allocs)
+	}
+}
+
+// TestItemSize pins the queue item at four words: time, sequence and
+// the handler interface.
+func TestItemSize(t *testing.T) {
+	if n := unsafe.Sizeof(item{}); n != 32 {
+		t.Fatalf("sizeof(item) = %d, want 32", n)
 	}
 }
 

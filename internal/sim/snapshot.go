@@ -10,22 +10,30 @@ import "fmt"
 // serialization formats — the system layer walks the queue with
 // ForEachPending, encodes each handler through its own registry, and
 // rebuilds the queue on restore with RestoreClock + RestorePending.
-// Items are visited and re-inserted in raw backing-array order: that
-// order is deterministic for a deterministic run, and because restored
-// items keep their original (at, seq) keys, pop order — the only order
-// that affects simulation results — is bit-identical even though the
-// heap's internal layout may differ.
+// Items are visited in queue order (see ForEachPending), which is
+// deterministic for a deterministic run, and may be re-inserted in any
+// order: restored items keep their original (at, seq) keys, so pop
+// order — the only order that affects simulation results — is
+// bit-identical even though the restored queue may split its items
+// between the wheel and the far heap differently.
 
-// ForEachPending visits every queued item in backing-array order.
-// Closure events (fire != nil) are reported with a nil Handler; a
-// snapshotting caller treats those as unserializable and refuses.
+// ForEachPending visits every queued item: the far heap in
+// backing-array order, then the wheel's buckets from Now's onward, each
+// bucket in (at, seq) order.
 func (e *Engine) ForEachPending(fn func(at Time, seq uint64, h Handler)) {
-	for i := range e.queue {
-		it := &e.queue[i]
-		if it.fire != nil {
-			fn(it.at, it.seq, nil)
-		} else {
-			fn(it.at, it.seq, it.h)
+	e.eachPending(func(it *item) { fn(it.at, it.seq, it.h) })
+}
+
+// eachPending visits every queued item in ForEachPending order.
+func (e *Engine) eachPending(fn func(it *item)) {
+	for i := range e.far {
+		fn(&e.far[i])
+	}
+	c := int(e.now>>wheelShift) & wheelMask
+	for k := 0; k < wheelBuckets; k++ {
+		b := (c + k) & wheelMask
+		for i := e.head[b]; i != 0; i = e.nodes[i-1].next {
+			fn(&e.nodes[i-1].it)
 		}
 	}
 }
@@ -37,8 +45,8 @@ func (e *Engine) Seq() uint64 { return e.seq }
 // tie-break sequence and fired count. The queue must be empty — restore
 // rebuilds it from scratch with RestorePending.
 func (e *Engine) RestoreClock(now Time, seq, fired uint64) error {
-	if len(e.queue) != 0 {
-		return fmt.Errorf("sim: RestoreClock with %d events pending", len(e.queue))
+	if n := e.Pending(); n != 0 {
+		return fmt.Errorf("sim: RestoreClock with %d events pending", n)
 	}
 	e.now = now
 	e.seq = seq

@@ -5,7 +5,7 @@ package sim
 //
 // The serial engine's tie-break is a global FIFO counter: two events at
 // the same timestamp fire in the order their scheduling calls executed.
-// That order is a deterministic function of the heap's structure — pop
+// That order is a deterministic function of the queue's contents — pop
 // the minimum (at, seq), run it, append its scheduling calls in call
 // order — but no per-shard key can reproduce it locally, because the
 // counter interleaves calls from every tile. So each shard engine logs
@@ -16,7 +16,7 @@ package sim
 // shards' logs through a single virtual heap with a true global
 // counter, which assigns every event — fired, still pending, or a
 // staged send's delivery — the exact sequence number the serial engine
-// would have, then rewrites the pending heaps' provisional keys to
+// would have, then rewrites the pending queues' provisional keys to
 // dense ranks in that order (RewriteSeqs).
 //
 // Logging is engine-local and allocation-free in steady state (the
@@ -78,10 +78,9 @@ func (e *Engine) LogExternal(idx int) {
 
 // RewriteSeqs replaces every pending item's tie-break seq with
 // fn(at, seq). The mapping must preserve the relative (at, seq) order
-// of the pending set — the heap is not re-sifted — which is exactly
-// what the barrier's dense re-ranking does.
+// of the pending set — neither the wheel's buckets nor the far heap
+// are re-sorted — which is exactly what the barrier's dense re-ranking
+// does.
 func (e *Engine) RewriteSeqs(fn func(at Time, seq uint64) uint64) {
-	for i := range e.queue {
-		e.queue[i].seq = fn(e.queue[i].at, e.queue[i].seq)
-	}
+	e.eachPending(func(it *item) { it.seq = fn(it.at, it.seq) })
 }

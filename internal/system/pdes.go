@@ -37,7 +37,7 @@ import (
 // every barrier reconstructs the exact serial event order. The serial
 // tie-break is a global FIFO counter — same-timestamp events fire in
 // the order their scheduling calls executed — and that order is a pure
-// function of the heap's structure, so it can be recomputed after the
+// function of the queue's contents, so it can be recomputed after the
 // fact: each engine logs the window's dispatches and their scheduling
 // calls (sim window log), and the barrier replays all logs through one
 // virtual heap with a true global counter (replayMerge). The replay
@@ -372,7 +372,7 @@ func (m *Machine) barrier(deadline sim.Time) (err error) {
 // to a serial run) and computes each delivery's arrival. When the
 // replay passes the deadline, the heap holds precisely the events that
 // remain pending, in exact serial order; they are re-ranked densely,
-// the shard heaps' keys rewritten in place, and the deliveries
+// the shard queues' keys rewritten in place, and the deliveries
 // inserted under their ranks.
 func (m *Machine) replayMerge(deadline sim.Time) {
 	for _, s := range m.shards {

@@ -14,14 +14,15 @@ import (
 
 // Machine checkpointing (gem5-style): Snapshot serializes the complete
 // architectural and microarchitectural state of a running simulation —
-// the event heap, every controller, every cache line, the page tables
+// the event queue, every controller, every cache line, the page tables
 // and the workload cursors — such that Restore into a freshly built
 // identical machine continues the run bit-identically to one that was
 // never interrupted.
 //
-// Event handlers cannot be serialized as code, so the heap is encoded
-// as (time, seq, tag, payload) records where the tag names one of the
-// five handler shapes a running machine schedules:
+// Event handlers cannot be serialized as code, so the pending events
+// are encoded, in the "heap" section, as (time, seq, tag, payload)
+// records where the tag names one of the five handler shapes a running
+// machine schedules:
 //
 //	hCPUStep  — a cpu's "issue next access" record (payload: cpu index)
 //	hCPUPend  — a cpu's think-delay pend (payload: cpu index; the pended
@@ -438,8 +439,8 @@ func (m *Machine) Restore(r io.Reader, threads []ThreadSpec) (string, error) {
 		}
 	}
 
-	// The clock must be set before the heap is refilled (RestorePending
-	// rejects events in the past), and the heap after every controller
+	// The clock must be set before the queue is refilled (RestorePending
+	// rejects events in the past), and the queue after every controller
 	// (directory events bind to restored transactions). On a sharded
 	// machine every shard clock is set to the checkpointed barrier time;
 	// the fired count — global, it feeds the event budget — lives on
@@ -482,9 +483,10 @@ func (m *Machine) Restore(r io.Reader, threads []ThreadSpec) (string, error) {
 		}
 	}
 	if m.shards != nil {
-		// Re-establish canonical order — checkpoints store the heap in
-		// backing-array order — then re-rank 1..n and distribute each
-		// event to the shard owning its tile. The ranks sort below every
+		// Re-establish canonical order — a serial checkpoint stores its
+		// events in queue-visit order (sim.Engine.ForEachPending), not
+		// pop order — then re-rank 1..n and distribute each event to the
+		// shard owning its tile. The ranks sort below every
 		// runtime tie-break key, so restored events fire before anything
 		// scheduled after the resume at the same instant, exactly as
 		// their original sequence numbers would have made them.
@@ -522,6 +524,6 @@ func (m *Machine) Restore(r io.Reader, threads []ThreadSpec) (string, error) {
 }
 
 // maxHeapEvents bounds the decoded event count against corrupt
-// checkpoints; a live machine's heap holds at most a few events per
+// checkpoints; a live machine's queue holds at most a few events per
 // node.
 const maxHeapEvents = 1 << 24
