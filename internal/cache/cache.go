@@ -68,8 +68,7 @@ type Line struct {
 	// hardware field.
 	Version uint64
 
-	valid bool
-	lru   uint64
+	lru uint64
 }
 
 // Stats counts cache events.
@@ -91,6 +90,11 @@ type Cache struct {
 	sets  int
 	ways  int
 	lines []Line // sets × ways, row-major
+	// tags packs each way's validity and address into one word, parallel
+	// to lines: Addr|1 for a valid way (line addresses have zero low
+	// bits), 0 for an empty one. Tag matching scans 8 bytes per way
+	// instead of a whole Line; an empty way's Line is always zero.
+	tags  []mem.PAddr
 	tick  uint64
 	stats Stats
 }
@@ -115,6 +119,7 @@ func New(name string, capacityBytes, ways int) *Cache {
 		sets:  sets,
 		ways:  ways,
 		lines: make([]Line, sets*ways),
+		tags:  make([]mem.PAddr, sets*ways),
 	}
 }
 
@@ -138,39 +143,42 @@ func (c *Cache) SetIndex(lineAddr mem.PAddr) int {
 	return int(uint64(lineAddr)/mem.LineBytes) & (c.sets - 1)
 }
 
-func (c *Cache) set(lineAddr mem.PAddr) []Line {
-	i := c.SetIndex(lineAddr) * c.ways
-	return c.lines[i : i+c.ways]
+// find returns the index in lines of the way holding lineAddr (which
+// must be line-aligned), or -1.
+func (c *Cache) find(lineAddr mem.PAddr) int {
+	base := c.SetIndex(lineAddr) * c.ways
+	tag := lineAddr | 1
+	for i, t := range c.tags[base : base+c.ways] {
+		if t == tag {
+			return base + i
+		}
+	}
+	return -1
 }
 
 // Lookup returns the line holding lineAddr, updating LRU, or nil on miss.
 // It does not count a hit/miss: hit accounting belongs to the hierarchy,
 // which knows whether the access ultimately hit.
 func (c *Cache) Lookup(lineAddr mem.PAddr) *Line {
-	lineAddr = mem.LineOf(lineAddr)
-	for i := range c.set(lineAddr) {
-		l := &c.set(lineAddr)[i]
-		if l.valid && l.Addr == lineAddr {
-			c.tick++
-			l.lru = c.tick
-			return l
-		}
+	i := c.find(mem.LineOf(lineAddr))
+	if i < 0 {
+		return nil
 	}
-	return nil
+	c.tick++
+	l := &c.lines[i]
+	l.lru = c.tick
+	return l
 }
 
 // Peek returns the line holding lineAddr without touching LRU state, or
 // nil. Probes use Peek so that coherence activity does not perturb
 // replacement decisions.
 func (c *Cache) Peek(lineAddr mem.PAddr) *Line {
-	lineAddr = mem.LineOf(lineAddr)
-	for i := range c.set(lineAddr) {
-		l := &c.set(lineAddr)[i]
-		if l.valid && l.Addr == lineAddr {
-			return l
-		}
+	i := c.find(mem.LineOf(lineAddr))
+	if i < 0 {
+		return nil
 	}
-	return nil
+	return &c.lines[i]
 }
 
 // Insert places a line (which must not already be present) and returns the
@@ -178,28 +186,30 @@ func (c *Cache) Peek(lineAddr mem.PAddr) *Line {
 // writeback/notification flow.
 func (c *Cache) Insert(line Line) (victim Line, evicted bool) {
 	lineAddr := mem.LineOf(line.Addr)
-	if c.Peek(lineAddr) != nil {
+	if c.find(lineAddr) >= 0 {
 		panic(fmt.Sprintf("cache %s: Insert of already-present line %#x", c.name, uint64(lineAddr)))
 	}
 	if !line.State.Valid() {
 		panic(fmt.Sprintf("cache %s: Insert of invalid-state line", c.name))
 	}
-	set := c.set(lineAddr)
+	base := c.SetIndex(lineAddr) * c.ways
 	vi := -1
-	for i := range set {
-		if !set[i].valid {
-			vi = i
+	for i, t := range c.tags[base : base+c.ways] {
+		if t == 0 {
+			vi = base + i
 			break
 		}
 	}
 	if vi < 0 {
-		vi = 0
+		set := c.lines[base : base+c.ways]
+		w := 0
 		for i := 1; i < len(set); i++ {
-			if set[i].lru < set[vi].lru {
-				vi = i
+			if set[i].lru < set[w].lru {
+				w = i
 			}
 		}
-		victim = set[vi]
+		vi = base + w
+		victim = set[w]
 		evicted = true
 		c.stats.Evictions++
 		if victim.State.Dirty() {
@@ -208,9 +218,9 @@ func (c *Cache) Insert(line Line) (victim Line, evicted bool) {
 	}
 	c.tick++
 	line.Addr = lineAddr
-	line.valid = true
 	line.lru = c.tick
-	set[vi] = line
+	c.lines[vi] = line
+	c.tags[vi] = lineAddr | 1
 	c.stats.Fills++
 	return victim, evicted
 }
@@ -218,23 +228,21 @@ func (c *Cache) Insert(line Line) (victim Line, evicted bool) {
 // Remove invalidates lineAddr and returns the line it held.
 // ok is false when the line was not present.
 func (c *Cache) Remove(lineAddr mem.PAddr) (Line, bool) {
-	lineAddr = mem.LineOf(lineAddr)
-	set := c.set(lineAddr)
-	for i := range set {
-		if set[i].valid && set[i].Addr == lineAddr {
-			l := set[i]
-			set[i] = Line{}
-			return l, true
-		}
+	i := c.find(mem.LineOf(lineAddr))
+	if i < 0 {
+		return Line{}, false
 	}
-	return Line{}, false
+	l := c.lines[i]
+	c.lines[i] = Line{}
+	c.tags[i] = 0
+	return l, true
 }
 
 // CountValid returns the number of valid lines (O(capacity); test helper).
 func (c *Cache) CountValid() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
+	for _, t := range c.tags {
+		if t != 0 {
 			n++
 		}
 	}
@@ -243,8 +251,8 @@ func (c *Cache) CountValid() int {
 
 // ForEachValid calls fn for every valid line (test/invariant helper).
 func (c *Cache) ForEachValid(fn func(Line)) {
-	for i := range c.lines {
-		if c.lines[i].valid {
+	for i, t := range c.tags {
+		if t != 0 {
 			fn(c.lines[i])
 		}
 	}

@@ -10,7 +10,8 @@ import (
 // Checkpoint support: a cache's mutable state is its line array (every
 // slot, in raw array order — LRU ages and valid bits included, so
 // future replacement decisions replay identically), the LRU tick and
-// the statistics. Geometry (sets, ways) comes from construction and is
+// the statistics. The packed tag array is derived state: a way's valid
+// bit is written as tags[i] != 0 and the tags are rebuilt on decode. Geometry (sets, ways) comes from construction and is
 // only verified.
 
 // EncodeState writes the cache's full mutable state.
@@ -25,7 +26,7 @@ func (c *Cache) EncodeState(e *checkpoint.Encoder) {
 		e.U8(uint8(l.State))
 		e.Bool(l.Untracked)
 		e.U64(l.Version)
-		e.Bool(l.valid)
+		e.Bool(c.tags[i] != 0)
 		e.U64(l.lru)
 	}
 }
@@ -49,8 +50,12 @@ func (c *Cache) DecodeState(d *checkpoint.Decoder) error {
 		l.State = State(d.U8())
 		l.Untracked = d.Bool()
 		l.Version = d.U64()
-		l.valid = d.Bool()
+		valid := d.Bool()
 		l.lru = d.U64()
+		c.tags[i] = 0
+		if valid {
+			c.tags[i] = l.Addr | 1
+		}
 	}
 	return d.Err()
 }

@@ -292,7 +292,8 @@ func (c *CacheCtrl) handleProbe(now sim.Time, m *Msg) {
 
 	var prev cache.State
 	var version uint64
-	if l := c.hier.PeekLine(m.Addr); l != nil {
+	l := c.hier.PeekLine(m.Addr)
+	if l != nil {
 		prev = l.State
 		version = l.Version
 	}
@@ -300,10 +301,14 @@ func (c *CacheCtrl) handleProbe(now sim.Time, m *Msg) {
 	owner := prev == cache.Modified || prev == cache.Owned || prev == cache.Exclusive
 	dirty := prev.Dirty()
 
-	if invalidate {
-		c.hier.Invalidate(m.Addr)
-	} else {
-		c.hier.Downgrade(m.Addr)
+	// A probe that misses (most broadcast probes do) leaves the arrays
+	// untouched, so only a hit needs the second lookup.
+	if l != nil {
+		if invalidate {
+			c.hier.Invalidate(m.Addr)
+		} else {
+			c.hier.Downgrade(m.Addr)
+		}
 	}
 
 	ack := c.pool.Get()

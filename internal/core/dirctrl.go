@@ -79,12 +79,14 @@ const (
 
 // txn is one in-flight directory transaction. The directory serializes
 // transactions per line: while a txn is busy on a line, later requests for
-// that line queue in the waiters list.
+// that line queue on it (waiters, FIFO) and pass to the next transaction
+// when it finishes.
 type txn struct {
-	id   uint64
-	kind txnKind
-	addr mem.PAddr
-	req  *coherence.Msg // request transactions only
+	id      uint64
+	kind    txnKind
+	addr    mem.PAddr
+	req     *coherence.Msg   // request transactions only
+	waiters []*coherence.Msg // requests queued behind this one
 
 	counted bool // local/remote classification done (restart-safe)
 
@@ -150,8 +152,7 @@ type DirCtrl struct {
 	port  coherence.Port
 	dram  *dram.Controller
 
-	busy    map[mem.PAddr]*txn
-	waiters map[mem.PAddr][]*coherence.Msg
+	busy    busyTable // in-flight transaction per line
 	dramVer map[mem.PAddr]uint64
 	txnSeq  uint64
 
@@ -189,8 +190,6 @@ func NewDirCtrl(cfg Config, pf *ProbeFilter, eng *sim.Engine, port coherence.Por
 		eng:     eng,
 		port:    port,
 		dram:    dc,
-		busy:    make(map[mem.PAddr]*txn),
-		waiters: make(map[mem.PAddr][]*coherence.Msg),
 		dramVer: make(map[mem.PAddr]uint64),
 	}
 }
@@ -227,7 +226,7 @@ func (d *DirCtrl) ResetStats() {
 }
 
 // Quiesced reports whether no transactions are in flight (test helper).
-func (d *DirCtrl) Quiesced() bool { return len(d.busy) == 0 }
+func (d *DirCtrl) Quiesced() bool { return d.busy.len() == 0 }
 
 // DRAMVersion returns the current DRAM data version of a line (invariant
 // checks).
@@ -273,12 +272,12 @@ func (ev *dirEvent) Handle(now sim.Time) {
 	d.events.Put(ev)
 	switch kind {
 	case evDispatch:
-		if cur, ok := d.busy[t.addr]; !ok || cur != t || t.id != id {
+		if d.busy.get(t.addr) != t || t.id != id {
 			return // superseded (defensive; should not happen)
 		}
 		d.dispatch(now, t)
 	case evDRAM:
-		if cur := d.busy[t.addr]; cur != t || t.id != id {
+		if d.busy.get(t.addr) != t || t.id != id {
 			return // transaction restarted; the stale read is discarded
 		}
 		t.dramDone = true
@@ -289,7 +288,7 @@ func (ev *dirEvent) Handle(now sim.Time) {
 		d.handleAck(now, m)
 		m.Release()
 	case evRetry:
-		if cur := d.busy[t.addr]; cur == t && t.id == id {
+		if d.busy.get(t.addr) == t && t.id == id {
 			d.dispatch(now, t)
 		}
 	}
@@ -336,23 +335,24 @@ type Msg = coherence.Msg
 func isGetM(m *Msg) bool { return m.Op == coherence.GetM }
 
 func (d *DirCtrl) handleRequest(now sim.Time, m *Msg) {
-	if t, ok := d.busy[m.Addr]; ok && t != nil {
-		d.waiters[m.Addr] = append(d.waiters[m.Addr], m)
+	if t := d.busy.get(m.Addr); t != nil {
+		t.waiters = append(t.waiters, m)
 		return
 	}
 	t := d.newTxn(txnRequest, m.Addr)
 	t.req = m
-	d.busy[m.Addr] = t
+	d.busy.put(t)
 	d.scheduleDispatch(t)
 }
 
 // newTxn returns a fresh transaction, recycling a finished one when the
 // free list has any. Ids stay globally unique across recycling, so stale
 // scheduled events referencing a recycled object fail their id check.
+// A recycled transaction keeps its (empty) waiter queue's storage.
 func (d *DirCtrl) newTxn(kind txnKind, addr mem.PAddr) *txn {
 	d.txnSeq++
 	t := d.txns.Get()
-	*t = txn{}
+	*t = txn{waiters: t.waiters[:0]}
 	t.id, t.kind, t.addr = d.txnSeq, kind, addr
 	return t
 }
@@ -604,8 +604,7 @@ func (d *DirCtrl) broadcastInv(t *txn, requester mem.NodeID, grant cache.State) 
 // lineBusy reports whether a line has an in-flight transaction (probe-
 // filter victim selection must skip such lines).
 func (d *DirCtrl) lineBusy(addr mem.PAddr) bool {
-	_, ok := d.busy[addr]
-	return ok
+	return d.busy.get(addr) != nil
 }
 
 // issueDRAM starts a DRAM line read for t; the completion event (an
@@ -639,8 +638,8 @@ func (d *DirCtrl) maybeSendData(t *txn) {
 
 // handleAck routes probe acknowledgements to their transaction.
 func (d *DirCtrl) handleAck(now sim.Time, m *Msg) {
-	t, ok := d.busy[m.Addr]
-	if !ok || t.id != m.TxnID {
+	t := d.busy.get(m.Addr)
+	if t == nil || t.id != m.TxnID {
 		// Stale ack from a restarted transaction: impossible by
 		// construction (parking implies all acks arrived), kept as a
 		// defensive drop.
@@ -779,8 +778,8 @@ func (d *DirCtrl) localProbeAck(now sim.Time, t *txn, m *Msg) {
 
 // handleCmpAck closes a transaction once the requester has filled.
 func (d *DirCtrl) handleCmpAck(m *Msg) {
-	t, ok := d.busy[m.Addr]
-	if !ok || t.id != m.TxnID {
+	t := d.busy.get(m.Addr)
+	if t == nil || t.id != m.TxnID {
 		return
 	}
 	t.cmpReceived = true
@@ -830,29 +829,28 @@ func (d *DirCtrl) tryComplete(now sim.Time, t *txn) {
 }
 
 // finish releases the line, recycles the transaction and its request
-// message, and dispatches the next queued request.
+// message, and dispatches the next queued request, which takes over the
+// rest of the queue.
 func (d *DirCtrl) finish(now sim.Time, t *txn) {
 	addr := t.addr
-	delete(d.busy, addr)
+	d.busy.del(addr)
 	if t.req != nil {
 		t.req.Release()
 		t.req = nil
 	}
-	d.txns.Put(t)
-	q := d.waiters[addr]
+	q := t.waiters
 	if len(q) == 0 {
-		delete(d.waiters, addr)
+		d.txns.Put(t)
 		return
 	}
-	next := q[0]
-	if len(q) == 1 {
-		delete(d.waiters, addr)
-	} else {
-		d.waiters[addr] = q[1:]
-	}
+	t.waiters = nil
+	d.txns.Put(t)
 	nt := d.newTxn(txnRequest, addr)
-	nt.req = next
-	d.busy[addr] = nt
+	nt.req = q[0]
+	n := copy(q, q[1:])
+	q[n] = nil
+	nt.waiters = q[:n]
+	d.busy.put(nt)
 	d.scheduleDispatch(nt)
 }
 
@@ -883,8 +881,8 @@ func (d *DirCtrl) handlePut(now sim.Time, m *Msg) {
 	if m.Op == coherence.PutM {
 		d.dramWrite(now, m.Addr, m.Version)
 	}
-	t, busy := d.busy[m.Addr]
-	if !busy {
+	t := d.busy.get(m.Addr)
+	if t == nil {
 		d.applyPutToEntry(m)
 		return
 	}
@@ -960,11 +958,11 @@ func (d *DirCtrl) dramWrite(now sim.Time, addr mem.PAddr, version uint64) {
 // entries (sharers unknown). Every message it causes is charged to
 // EvictionMsgs (Figure 3d).
 func (d *DirCtrl) startEviction(now sim.Time, victim Entry) {
-	t := d.newTxn(txnEviction, victim.Addr)
-	if _, clash := d.busy[victim.Addr]; clash {
+	if d.busy.get(victim.Addr) != nil {
 		panic("core: eviction victim line already busy")
 	}
-	d.busy[victim.Addr] = t
+	t := d.newTxn(txnEviction, victim.Addr)
+	d.busy.put(t)
 
 	send := func(dst mem.NodeID) {
 		t.pendingAcks++

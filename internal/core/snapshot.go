@@ -13,11 +13,13 @@ import (
 
 // Checkpoint support for the directory controller. A directory's live
 // state is its probe filter, the DRAM version shadow, the per-line
-// transaction table (busy) and waiter queues, plus the occupancy clock
-// and counters. Each in-flight transaction owns at most one request
-// message, each waiter queue owns its queued requests, and each pending
+// transaction table (busy) with each transaction's waiter queue, plus
+// the occupancy clock and counters. Each in-flight transaction owns at
+// most one request message and its queued requests, and each pending
 // evAck event owns its ack — so messages serialize inline with exactly
-// one owner and restore without pools.
+// one owner and restore without pools. The busy table's slot layout is
+// not state: transactions are written sorted by address, then the
+// non-empty waiter queues in the same order.
 //
 // Stale events need care: a dirEvent whose transaction restarted (new
 // id) or finished must still fire and drop itself, because dropped
@@ -92,7 +94,7 @@ func (d *DirCtrl) DecodeEvent(dec *checkpoint.Decoder) (sim.Handler, error) {
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
-	if t, ok := d.busy[addr]; ok {
+	if t := d.busy.get(addr); t != nil {
 		// Bind to the live transaction. If the encoded id differs (the
 		// txn restarted before the snapshot), Handle's id check drops
 		// the event exactly as it would have in the original run.
@@ -109,9 +111,9 @@ func (d *DirCtrl) DecodeEvent(dec *checkpoint.Decoder) (sim.Handler, error) {
 	return ev, nil
 }
 
-// EncodeState writes the directory's full mutable state. Maps are
-// emitted in ascending address order so the byte stream is
-// deterministic.
+// EncodeState writes the directory's full mutable state. The DRAM
+// version map and the busy transactions are emitted in ascending
+// address order so the byte stream is deterministic.
 func (d *DirCtrl) EncodeState(e *checkpoint.Encoder) error {
 	e.Section("dirctrl")
 
@@ -163,29 +165,28 @@ func (d *DirCtrl) EncodeState(e *checkpoint.Encoder) error {
 
 	// Busy transactions.
 	e.Section("busy")
-	addrs = addrs[:0]
-	for a := range d.busy {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	e.Len(len(addrs))
-	for _, a := range addrs {
-		encodeTxn(e, d.busy[a])
+	busy := make([]*txn, 0, d.busy.len())
+	d.busy.each(func(t *txn) { busy = append(busy, t) })
+	sort.Slice(busy, func(i, j int) bool { return busy[i].addr < busy[j].addr })
+	e.Len(len(busy))
+	queued := 0
+	for _, t := range busy {
+		encodeTxn(e, t)
+		if len(t.waiters) > 0 {
+			queued++
+		}
 	}
 
 	// Waiter queues (FIFO order preserved within each queue).
 	e.Section("waiters")
-	addrs = addrs[:0]
-	for a := range d.waiters {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	e.Len(len(addrs))
-	for _, a := range addrs {
-		q := d.waiters[a]
-		e.U64(uint64(a))
-		e.Len(len(q))
-		for _, m := range q {
+	e.Len(queued)
+	for _, t := range busy {
+		if len(t.waiters) == 0 {
+			continue
+		}
+		e.U64(uint64(t.addr))
+		e.Len(len(t.waiters))
+		for _, m := range t.waiters {
 			coherence.EncodeMsg(e, m)
 		}
 	}
@@ -259,14 +260,17 @@ func (d *DirCtrl) DecodeState(dec *checkpoint.Decoder) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	d.busy = make(map[mem.PAddr]*txn, n)
+	d.busy = busyTable{}
 	for i := 0; i < n; i++ {
 		t := d.txns.Get()
 		decodeTxn(dec, t)
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		d.busy[t.addr] = t
+		if d.busy.get(t.addr) != nil {
+			return fmt.Errorf("core: checkpoint has two busy transactions for %#x", uint64(t.addr))
+		}
+		d.busy.put(t)
 	}
 
 	dec.Expect("waiters")
@@ -274,14 +278,19 @@ func (d *DirCtrl) DecodeState(dec *checkpoint.Decoder) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	d.waiters = make(map[mem.PAddr][]*coherence.Msg, n)
 	for i := 0; i < n; i++ {
 		a := mem.PAddr(dec.U64())
 		q := dec.Len(maxTableEntries)
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		msgs := make([]*coherence.Msg, 0, q)
+		t := d.busy.get(a)
+		if t == nil {
+			return fmt.Errorf("core: checkpoint has a waiter queue for idle line %#x", uint64(a))
+		}
+		if len(t.waiters) > 0 {
+			return fmt.Errorf("core: checkpoint has two waiter queues for %#x", uint64(a))
+		}
 		for j := 0; j < q; j++ {
 			m := coherence.DecodeMsg(dec)
 			if err := dec.Err(); err != nil {
@@ -290,9 +299,8 @@ func (d *DirCtrl) DecodeState(dec *checkpoint.Decoder) error {
 			if m == nil {
 				return fmt.Errorf("core: nil message in waiter queue for %#x", uint64(a))
 			}
-			msgs = append(msgs, m)
+			t.waiters = append(t.waiters, m)
 		}
-		d.waiters[a] = msgs
 	}
 	return dec.Err()
 }

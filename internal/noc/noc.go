@@ -86,10 +86,26 @@ type Stats struct {
 
 // Mesh is the interconnect instance.
 type Mesh struct {
-	cfg   Config
-	free  []sim.Time // per directed link: next time the link is free
-	route []int      // scratch: the in-flight message's XY route
+	cfg  Config
+	free []sim.Time // per directed link: next time the link is free
+
+	// routes holds every XY route back to back, built once by New; the
+	// route src→dst is routes[routeOff[p]:routeOff[p+1]] with
+	// p = src×Nodes + dst. It grows as Nodes² × mean hops: about 1k
+	// entries on the paper's 4×4 mesh.
+	routes   []int32
+	routeOff []int32
+	// class holds each message class's fixed per-message costs.
+	class [2]classCost
+
 	stats Stats
+}
+
+// classCost is the wire size, flit count and per-link serialization time
+// of one message class.
+type classCost struct {
+	bytes, flits uint64
+	ser          sim.Time
 }
 
 // New constructs a mesh from cfg. It panics on invalid configuration
@@ -99,13 +115,35 @@ func New(cfg Config) *Mesh {
 		panic(err)
 	}
 	// Four directed links per node (E, W, N, S); edge links exist in the
-	// slice but are never used by XY routing. The route scratch buffer is
-	// sized for the longest XY route so Send never grows it.
-	return &Mesh{
-		cfg:   cfg,
-		free:  make([]sim.Time, cfg.Width*cfg.Height*4),
-		route: make([]int, 0, cfg.Width+cfg.Height),
+	// slice but are never used by XY routing.
+	m := &Mesh{
+		cfg:  cfg,
+		free: make([]sim.Time, cfg.Width*cfg.Height*4),
 	}
+	n := m.Nodes()
+	total := 0
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			total += m.Hops(mem.NodeID(src), mem.NodeID(dst))
+		}
+	}
+	m.routes = make([]int32, 0, total)
+	m.routeOff = make([]int32, n*n+1)
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			m.routes = m.xyRoute(mem.NodeID(src), mem.NodeID(dst), m.routes)
+			m.routeOff[src*n+dst+1] = int32(len(m.routes))
+		}
+	}
+	for _, c := range []Class{Control, Data} {
+		bytes := m.BytesFor(c)
+		m.class[c] = classCost{
+			bytes: uint64(bytes),
+			flits: uint64(m.FlitsFor(c)),
+			ser:   sim.Time(float64(bytes) / cfg.LinkBandwidth * float64(sim.Nanosecond)),
+		}
+	}
+	return m
 }
 
 // Config returns the mesh configuration.
@@ -147,10 +185,19 @@ const (
 	dirS
 )
 
-func (m *Mesh) linkID(node mem.NodeID, dir int) int { return int(node)*4 + dir }
+func (m *Mesh) linkID(node mem.NodeID, dir int) int32 { return int32(node)*4 + int32(dir) }
+
+// route returns the directed links of the XY route src→dst from the
+// precomputed table. The slice aliases the table and must not be
+// modified.
+func (m *Mesh) route(src, dst mem.NodeID) []int32 {
+	p := int(src)*m.Nodes() + int(dst)
+	return m.routes[m.routeOff[p]:m.routeOff[p+1]]
+}
 
 // xyRoute appends the directed links of the XY route src→dst to buf.
-func (m *Mesh) xyRoute(src, dst mem.NodeID, buf []int) []int {
+// New calls it once per node pair to fill the route table.
+func (m *Mesh) xyRoute(src, dst mem.NodeID, buf []int32) []int32 {
 	x, y := m.coords(src)
 	dx, dy := m.coords(dst)
 	n := src
@@ -199,8 +246,7 @@ func (m *Mesh) FlitsFor(c Class) int {
 // before t + MinCrossLatency, so shards may drain events independently
 // within windows of that width.
 func (m *Mesh) MinCrossLatency() sim.Time {
-	ser := sim.Time(float64(m.cfg.ControlBytes) / m.cfg.LinkBandwidth * float64(sim.Nanosecond))
-	return m.cfg.LinkLatency + ser
+	return m.cfg.LinkLatency + m.class[Control].ser
 }
 
 // AbsorbLocalMsgs folds node-internal deliveries counted outside the
@@ -224,12 +270,9 @@ func (m *Mesh) Send(now sim.Time, src, dst mem.NodeID, class Class) sim.Time {
 		m.stats.LocalMsgs++
 		return now + m.cfg.LocalLatency
 	}
-	bytes := m.BytesFor(class)
-	flits := m.FlitsFor(class)
-	ser := sim.Time(float64(bytes) / m.cfg.LinkBandwidth * float64(sim.Nanosecond))
-
-	links := m.xyRoute(src, dst, m.route[:0])
-	m.route = links[:0]
+	cc := &m.class[class]
+	ser := cc.ser
+	links := m.route(src, dst)
 	t := now
 	for _, l := range links {
 		start := t
@@ -248,9 +291,9 @@ func (m *Mesh) Send(now sim.Time, src, dst mem.NodeID, class Class) sim.Time {
 	} else {
 		m.stats.DataMsgs++
 	}
-	m.stats.Bytes += uint64(bytes)
-	m.stats.Flits += uint64(flits)
-	m.stats.FlitHops += uint64(flits) * hops
-	m.stats.RouterXings += uint64(flits) * (hops + 1)
+	m.stats.Bytes += cc.bytes
+	m.stats.Flits += cc.flits
+	m.stats.FlitHops += cc.flits * hops
+	m.stats.RouterXings += cc.flits * (hops + 1)
 	return arrival
 }

@@ -219,3 +219,59 @@ func TestAbsorbLocalMsgs(t *testing.T) {
 		t.Fatalf("LocalMsgs = %d after absorb, want 8", got)
 	}
 }
+
+// TestRouteTableMatchesXY checks every precomputed route against a
+// fresh xyRoute walk, on square, single-row, single-column and uneven
+// meshes.
+func TestRouteTableMatchesXY(t *testing.T) {
+	for _, dim := range [][2]int{{1, 1}, {1, 4}, {4, 1}, {3, 5}, {4, 4}} {
+		cfg := testCfg()
+		cfg.Width, cfg.Height = dim[0], dim[1]
+		m := New(cfg)
+		n := mem.NodeID(m.Nodes())
+		for src := mem.NodeID(0); src < n; src++ {
+			for dst := mem.NodeID(0); dst < n; dst++ {
+				got := m.route(src, dst)
+				want := m.xyRoute(src, dst, nil)
+				if len(got) != m.Hops(src, dst) {
+					t.Fatalf("%dx%d %d→%d: route has %d links, Hops = %d", dim[0], dim[1], src, dst, len(got), m.Hops(src, dst))
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%dx%d %d→%d: route %v, xyRoute %v", dim[0], dim[1], src, dst, got, want)
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%dx%d %d→%d: route %v, xyRoute %v", dim[0], dim[1], src, dst, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestSendDoesNotAllocate(t *testing.T) {
+	m := New(testCfg())
+	now := sim.Time(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		for src := mem.NodeID(0); src < 16; src++ {
+			for dst := mem.NodeID(0); dst < 16; dst++ {
+				now = m.Send(now, src, dst, Data)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Send allocates %v times per 256 messages", allocs)
+	}
+}
+
+// BenchmarkMeshSend measures Send over every (src, dst) pair of the
+// 4×4 mesh, control and data messages alternating.
+func BenchmarkMeshSend(b *testing.B) {
+	m := New(testCfg())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := i & 255
+		m.Send(sim.Time(i)*sim.Nanosecond, mem.NodeID(p>>4), mem.NodeID(p&15), Class(i>>8&1))
+	}
+}

@@ -9,7 +9,8 @@ import (
 
 // EncodeState writes the mesh's mutable state: per-link next-free times
 // (link contention carries across a checkpoint) and traffic statistics.
-// The route scratch buffer is transient and not part of machine state.
+// The route table and per-class costs derive from the configuration
+// and are not part of machine state.
 func (m *Mesh) EncodeState(e *checkpoint.Encoder) {
 	e.Section("noc")
 	e.Len(len(m.free))
