@@ -665,13 +665,18 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	sweep, err := server.ExpandSweep(&req, rt.lookupTrace)
+	jobs, err := server.SweepJobCount(&req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := server.CheckJobQuota(r, sweep.Len()); err != nil {
+	if err := server.CheckJobQuota(r, jobs); err != nil {
 		writeError(w, http.StatusForbidden, err)
+		return
+	}
+	sweep, err := server.ExpandSweep(&req, rt.lookupTrace)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if rt.ctx.Err() != nil {
@@ -1038,8 +1043,9 @@ func (rt *Router) lookupTrace(id string) allarm.Workload {
 // handleTraceUpload parses the trace locally (the router must expand
 // "trace:ID" specs itself to compute placement keys), keeps the raw
 // bytes for shard re-upload — journaled, so recovery can still expand
-// and re-upload after a restart — and broadcasts the upload to every
-// shard so sub-sweep submits do not each pay a 400-retry round trip.
+// and re-upload after a restart — and broadcasts a trace's first upload
+// to every shard so sub-sweep submits do not each pay a 400-retry round
+// trip. A shard that lacks a held trace is re-pushed by runShardSweep.
 func (rt *Router) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxTraceBytes))
 	if err != nil {
@@ -1052,12 +1058,10 @@ func (rt *Router) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 	id := "tr-" + hex.EncodeToString(sum[:])
 
 	rt.mu.Lock()
-	_, exists := rt.traces[id]
+	entry, held := rt.traces[id]
 	rt.mu.Unlock()
-	var wl allarm.Workload
-	if exists {
-		wl = rt.lookupTrace(id)
-	} else {
+	wl, stored := entry.wl, false
+	if !held {
 		wl, err = allarm.ReadTraceNamed(bytes.NewReader(data), id)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("parsing trace: %w", err))
@@ -1065,31 +1069,34 @@ func (rt *Router) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 		}
 		rt.mu.Lock()
 		if cur, ok := rt.traces[id]; ok {
+			// An identical upload won the race; it broadcasts.
 			wl = cur.wl
 		} else {
 			rt.traces[id] = traceEntry{data: data, wl: wl}
 			rt.trIDs = append(rt.trIDs, id)
 			rt.journal.saveTrace(id, data)
 			rt.evictTraces()
+			stored = true
 		}
 		rt.mu.Unlock()
-		rt.met.tracesUploaded.Add(1)
 	}
 
-	// Best-effort broadcast; a shard that misses it (down right now, or
-	// evicts the trace later) is healed by the submit-time re-upload.
-	mem := rt.mem.Load()
-	var wg sync.WaitGroup
-	for _, sh := range mem.shards {
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			if err := sh.uploadTrace(rt.ctx, data, rt.timeout); err != nil {
-				rt.logf("trace %s: broadcast to %s: %v", id, sh.name, err)
-			}
-		}(sh)
+	if stored {
+		rt.met.tracesUploaded.Add(1)
+		// Best effort; a shard that misses it is healed at submit time.
+		ctx := obs.ContextWithRequestID(rt.ctx, obs.RequestID(r.Context()))
+		var wg sync.WaitGroup
+		for _, sh := range rt.mem.Load().shards {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := sh.uploadTrace(ctx, data, rt.timeout); err != nil {
+					rt.logf("trace %s: broadcast to %s: %v", id, sh.name, err)
+				}
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusCreated)
@@ -1171,7 +1178,9 @@ func (rt *Router) handleTimeline(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDelete forgets a finished gather — from memory and from the
-// journal. The shards retain their own sweeps and caches.
+// journal — and releases its shard sub-sweeps (see releaseShardRuns),
+// so shards without a retention limit do not keep every sub-sweep for
+// their lifetime. The shards' result caches are untouched.
 func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	rt.mu.Lock()
@@ -1195,7 +1204,34 @@ func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.mu.Unlock()
 	rt.journal.removeSweep(id)
+	rt.releaseShardRuns(obs.ContextWithRequestID(rt.ctx, obs.RequestID(r.Context())), st)
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// releaseShardRuns deletes every sub-sweep st dispatched from its
+// shard, concurrently and each within ShardTimeout. It is best effort:
+// shards that left the fleet or are unhealthy are skipped, a 404 means
+// the shard already expired the sub-sweep, and other failures are only
+// logged.
+func (rt *Router) releaseShardRuns(ctx context.Context, st *fleetSweep) {
+	mem := rt.mem.Load()
+	var wg sync.WaitGroup
+	for _, run := range st.shardRunsSnapshot() {
+		sh := mem.byName(run.shard)
+		if sh == nil || !sh.isHealthy() {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			err := sh.doJSON(ctx, http.MethodDelete, "/v1/sweeps/"+run.id, nil, rt.timeout, nil)
+			var he *httpError
+			if err != nil && !(isHTTPError(err, &he) && he.status == http.StatusNotFound) {
+				rt.logf("sweep %s: releasing shard %s sweep %s: %v", st.id, sh.name, run.id, err)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // handleResults renders the gathered records through the same emitters

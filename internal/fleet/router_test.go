@@ -8,11 +8,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	allarm "allarm"
+	"allarm/internal/obs"
 	"allarm/internal/server"
 )
 
@@ -42,6 +44,28 @@ type testShard struct {
 	runs atomic.Int64
 	dead atomic.Bool   // when set, every request answers 500
 	gate chan struct{} // nil = run immediately; else RunJob blocks on it
+
+	seenMu sync.Mutex
+	seen   []seenRequest // every request that reached the shard
+}
+
+// seenRequest is one request a test shard received.
+type seenRequest struct {
+	method, path, requestID string
+}
+
+// requestIDs returns the correlation ids of the requests the shard
+// received for method and path, in arrival order.
+func (sh *testShard) requestIDs(method, path string) []string {
+	sh.seenMu.Lock()
+	defer sh.seenMu.Unlock()
+	var ids []string
+	for _, r := range sh.seen {
+		if r.method == method && r.path == path {
+			ids = append(ids, r.requestID)
+		}
+	}
+	return ids
 }
 
 // newTestShard starts one backend. opts.RunJob is overridden with the
@@ -67,6 +91,9 @@ func newTestShard(t *testing.T, opts server.Options) *testShard {
 	inner := srv.Handler()
 	sh.srv = srv
 	sh.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sh.seenMu.Lock()
+		sh.seen = append(sh.seen, seenRequest{r.Method, r.URL.Path, r.Header.Get(obs.RequestIDHeader)})
+		sh.seenMu.Unlock()
 		if sh.dead.Load() {
 			http.Error(w, "shard down", http.StatusInternalServerError)
 			return
@@ -596,10 +623,12 @@ func TestFleetGuardRails(t *testing.T) {
 // TestFleetTraceReupload: a trace uploaded while one shard is down is
 // healed at submit time — the router re-uploads from its own copy when
 // the shard answers "unknown trace" — so the sweep still completes
-// cleanly across the whole fleet.
+// cleanly across the whole fleet. Only the first upload is broadcast,
+// carrying the client's correlation id; re-uploading a trace the router
+// already holds reaches no shard.
 func TestFleetTraceReupload(t *testing.T) {
 	_, base, shards := newTestFleet(t, 2, server.Options{Workers: 2}, Options{})
-	amnesiac := shards[1]
+	healthy, amnesiac := shards[0], shards[1]
 
 	wl, err := allarm.BenchmarkWorkload("barnes", 2, 32)
 	if err != nil {
@@ -609,26 +638,48 @@ func TestFleetTraceReupload(t *testing.T) {
 	if err := allarm.CaptureTrace(&trace, wl, 1); err != nil {
 		t.Fatal(err)
 	}
-
-	// The broadcast to the down shard fails; the router keeps its copy.
-	amnesiac.dead.Store(true)
-	resp, body := func() (*http.Response, []byte) {
-		resp, err := http.Post(base+"/v1/traces", "application/octet-stream", bytes.NewReader(trace.Bytes()))
+	upload := func(requestID string) server.TraceResponse {
+		t.Helper()
+		req, err := http.NewRequest("POST", base+"/v1/traces", bytes.NewReader(trace.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/octet-stream")
+		req.Header.Set(obs.RequestIDHeader, requestID)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		out, _ := io.ReadAll(resp.Body)
-		return resp, out
-	}()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("trace upload: status %d: %s", resp.StatusCode, body)
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("trace upload: status %d: %s", resp.StatusCode, body)
+		}
+		var tr server.TraceResponse
+		if err := json.Unmarshal(body, &tr); err != nil {
+			t.Fatal(err)
+		}
+		return tr
 	}
-	var tr server.TraceResponse
-	if err := json.Unmarshal(body, &tr); err != nil {
-		t.Fatal(err)
-	}
+
+	// The broadcast to the down shard fails; the router keeps its copy.
+	amnesiac.dead.Store(true)
+	tr := upload("client-first-upload")
 	amnesiac.dead.Store(false)
+	if got := healthy.requestIDs("POST", "/v1/traces"); len(got) != 1 || got[0] != "client-first-upload" {
+		t.Fatalf("broadcast reached the healthy shard with request ids %q, want [client-first-upload]", got)
+	}
+
+	// The revived shard still lacks the trace, but a re-upload of a
+	// trace the router holds is not broadcast again.
+	if again := upload("client-second-upload"); again != tr {
+		t.Fatalf("re-upload answered %+v, first upload %+v", again, tr)
+	}
+	for i, sh := range shards {
+		if n := len(sh.requestIDs("POST", "/v1/traces")); n != 1 {
+			t.Fatalf("shard %d received %d trace uploads after the re-upload, want the 1 broadcast", i, n)
+		}
+	}
 
 	// Enough jobs that the amnesiac shard gets some with near-certainty.
 	req := server.SweepRequest{
@@ -645,8 +696,57 @@ func TestFleetTraceReupload(t *testing.T) {
 	if amnesiac.runs.Load() == 0 {
 		t.Skip("placement sent no jobs to the amnesiac shard; re-upload path not exercised this run")
 	}
+	if n := len(amnesiac.requestIDs("POST", "/v1/traces")); n != 2 {
+		t.Fatalf("amnesiac shard received %d trace uploads, want the failed broadcast and the submit-time heal", n)
+	}
 	if got := totalRuns(shards); got != int64(v.Total) {
 		t.Fatalf("ran %d simulations for %d jobs", got, v.Total)
+	}
+}
+
+// TestFleetConcurrentTraceUploadsBroadcastOnce: identical uploads racing
+// each other store the trace once, and only the winner broadcasts it.
+func TestFleetConcurrentTraceUploadsBroadcastOnce(t *testing.T) {
+	_, base, shards := newTestFleet(t, 2, server.Options{Workers: 1}, Options{})
+	wl, err := allarm.BenchmarkWorkload("barnes", 2, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace bytes.Buffer
+	if err := allarm.CaptureTrace(&trace, wl, 1); err != nil {
+		t.Fatal(err)
+	}
+	const uploads = 8
+	ids := make(chan string, uploads)
+	var wg sync.WaitGroup
+	for i := 0; i < uploads; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(base+"/v1/traces", "application/octet-stream", bytes.NewReader(trace.Bytes()))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var tr server.TraceResponse
+			if resp.StatusCode != http.StatusCreated || json.NewDecoder(resp.Body).Decode(&tr) != nil {
+				t.Errorf("upload: status %d", resp.StatusCode)
+			}
+			ids <- tr.ID
+		}()
+	}
+	wg.Wait()
+	close(ids)
+	for id := range ids {
+		if id == "" || !strings.HasPrefix(id, "tr-") {
+			t.Errorf("upload answered trace id %q", id)
+		}
+	}
+	for i, sh := range shards {
+		if n := len(sh.requestIDs("POST", "/v1/traces")); n != 1 {
+			t.Errorf("shard %d received %d broadcasts of one trace uploaded %d times, want 1", i, n, uploads)
+		}
 	}
 }
 

@@ -209,9 +209,9 @@ func bearerToken(r *http.Request) (string, bool) {
 }
 
 // CheckJobQuota enforces a client's per-sweep job-count quota against
-// an expanded sweep size: nil when allowed, the 403 error otherwise.
-// Both submit handlers (allarm-serve and allarm-router) call it after
-// expansion, which is the only point the real job count is known.
+// a sweep's size: nil when allowed, the 403 error otherwise. Both
+// submit handlers (allarm-serve and allarm-router) call it with
+// SweepJobCount's answer, before the sweep is expanded.
 func CheckJobQuota(r *http.Request, jobs int) error {
 	c, ok := ClientFromRequest(r)
 	if !ok || c.MaxJobs <= 0 || jobs <= c.MaxJobs {

@@ -65,6 +65,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -695,6 +696,35 @@ func RequestConfig(o *ConfigOverrides) allarm.Config {
 	return cfg
 }
 
+// MaxSweepJobs caps the jobs one sweep request may expand to. Figure
+// 3's grid is 96 jobs; the cap only stops a few kilobytes of request
+// from materialising a cross product of millions of jobs.
+const MaxSweepJobs = 1 << 16
+
+// maxPFKiB is the largest pf_kib whose byte count fits an int; larger
+// values would wrap and no longer round-trip through a JobSpec.
+const maxPFKiB = math.MaxInt >> 10
+
+// SweepJobCount returns how many jobs req expands to — the crossed grid
+// followed by the explicit Jobs — from the list lengths alone, so both
+// submit handlers can enforce MaxSweepJobs and the client's quota
+// before anything is expanded. Counts over MaxSweepJobs are an error.
+func SweepJobCount(req *SweepRequest) (int, error) {
+	n := len(req.Benchmarks) + len(req.Workloads)
+	for _, k := range []int{len(req.Policies), len(req.PFKiB)} {
+		if k > 0 && n > MaxSweepJobs/k {
+			return 0, errSweepTooLarge
+		}
+		n *= max(k, 1)
+	}
+	if n += len(req.Jobs); n > MaxSweepJobs {
+		return 0, errSweepTooLarge
+	}
+	return n, nil
+}
+
+var errSweepTooLarge = fmt.Errorf("sweep expands to more than %d jobs; split it", MaxSweepJobs)
+
 // ExpandSweep validates req and expands it into a Sweep: the crossed
 // grid (Benchmarks/Workloads × Policies × PFKiB) followed by the
 // explicit Jobs, in order. traces resolves "trace:ID" workload specs
@@ -704,6 +734,9 @@ func RequestConfig(o *ConfigOverrides) allarm.Config {
 // depend on. It is exported for allarm-router, which must expand a
 // request exactly like the shards it scatters to.
 func ExpandSweep(req *SweepRequest, traces func(id string) allarm.Workload) (*allarm.Sweep, error) {
+	if _, err := SweepJobCount(req); err != nil {
+		return nil, err
+	}
 	cfg := RequestConfig(req.Config)
 
 	known := make(map[string]bool)
@@ -765,8 +798,8 @@ func ExpandSweep(req *SweepRequest, traces func(id string) allarm.Workload) (*al
 	if len(req.PFKiB) > 0 {
 		sizes := make([]int, len(req.PFKiB))
 		for i, kib := range req.PFKiB {
-			if kib <= 0 {
-				return nil, fmt.Errorf("pf_kib must be positive, got %d", kib)
+			if kib <= 0 || kib > maxPFKiB {
+				return nil, fmt.Errorf("pf_kib must be in [1, %d], got %d", maxPFKiB, kib)
 			}
 			sizes[i] = kib << 10
 		}
@@ -787,8 +820,8 @@ func ExpandSweep(req *SweepRequest, traces func(id string) allarm.Workload) (*al
 			}
 			job.Config.Policy = p
 		}
-		if js.PFKiB < 0 {
-			return nil, fmt.Errorf("pf_kib must be positive, got %d", js.PFKiB)
+		if js.PFKiB < 0 || js.PFKiB > maxPFKiB {
+			return nil, fmt.Errorf("job pf_kib must be in [0, %d] (0 = the config's), got %d", maxPFKiB, js.PFKiB)
 		}
 		if js.PFKiB > 0 {
 			job.Config.PFBytes = js.PFKiB << 10
@@ -809,13 +842,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	sweep, err := s.buildSweep(&req)
+	jobs, err := SweepJobCount(&req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := CheckJobQuota(r, sweep.Len()); err != nil {
+	if err := CheckJobQuota(r, jobs); err != nil {
 		writeError(w, http.StatusForbidden, err)
+		return
+	}
+	sweep, err := s.buildSweep(&req)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 
@@ -875,8 +913,9 @@ func (s *Server) runSweep(st *sweepState) {
 			st.jobStarted(i)
 		},
 		JobDone: func(i, _ int, r allarm.SweepResult) {
-			s.unregisterJobRef(r.Job.Key(), st, i)
-			st.jobFinished(i, r, s.takeResumed(r.Job.Key()))
+			key := r.Job.Key()
+			s.unregisterJobRef(key, st, i)
+			st.jobFinished(i, r, s.takeResumed(key))
 		},
 		Exec: s.exec,
 	}

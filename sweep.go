@@ -3,8 +3,8 @@ package allarm
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -66,17 +66,18 @@ func (j Job) WorkloadName() string {
 	return j.Benchmark
 }
 
-// workloadKey fingerprints the job's workload for Dedup: benchmark
-// presets by name, Workloads by their Key (see Keyer) or, failing that,
-// by name and thread count.
-func (j Job) workloadKey() string {
+// appendWorkloadKey appends the fingerprint of the job's workload:
+// benchmark presets by name, Workloads by their Key (see Keyer) or,
+// failing that, by name and thread count.
+func (j Job) appendWorkloadKey(b []byte) []byte {
 	if j.Workload == nil {
-		return "bench:" + j.Benchmark
+		return append(append(b, "bench:"...), j.Benchmark...)
 	}
 	if k, ok := j.Workload.(Keyer); ok {
-		return "wl:" + k.Key()
+		return append(append(b, "wl:"...), k.Key()...)
 	}
-	return fmt.Sprintf("wl:%s#%d", j.Workload.Name(), j.Workload.Threads())
+	b = append(append(append(b, "wl:"...), j.Workload.Name()...), '#')
+	return strconv.AppendInt(b, int64(j.Workload.Threads()), 10)
 }
 
 // Key returns a stable fingerprint identifying the simulation the job
@@ -91,85 +92,78 @@ func (j Job) workloadKey() string {
 // simulation semantics actually change (for example, Config gaining a
 // behaviour-affecting field). Silent drift would make the service cache
 // conflate distinct simulations or miss identical ones.
+//
+// The key is "workload|mpActive|{multi-process}|{config}", where the two
+// braced sections spell "Field:value" pairs exactly as fmt's %+v would.
+// Config's fields are listed below in Config's order; SimThreads is
+// deliberately absent: it is an execution knob with bit-identical
+// results for every value, so it must not split the result cache (a
+// 4-thread run may serve a cached serial result and vice versa). A
+// field added to Config that affects simulation output must be added
+// here too. The TestJobKeyGolden* tests pin the rendered form and
+// FuzzJobKey pins it to the %+v rendering over arbitrary configs.
 func (j Job) Key() string {
 	// MultiProcess is inert when a first-class Workload is set (Job.Run
 	// checks Workload first), so it must not split the fingerprint.
-	mp := MultiProcessConfig{}
+	var mp MultiProcessConfig
 	mpActive := j.Workload == nil && j.MultiProcess != nil
 	if mpActive {
 		mp = *j.MultiProcess
 	}
-	return fmt.Sprintf("%s|%t|%+v|%+v", j.workloadKey(), mpActive, mp, j.configKey())
-}
-
-// configKey mirrors Config's behaviour-affecting fields, in Config's
-// order, for Key's %+v fingerprint. SimThreads is deliberately absent:
-// it is an execution knob with bit-identical results for every value,
-// so it must not split the result cache (a 4-thread run may serve a
-// cached serial result and vice versa). A field added to Config that
-// affects simulation output must be added here too — the
-// TestJobKeyGolden* tests pin the rendered form.
-type configKey struct {
-	Threads           int
-	AccessesPerThread int
-	Seed              uint64
-
-	Policy       Policy
-	ALLARMRanges []AddrRange
-	MemPolicy    MemPolicy
-
-	Nodes        int
-	MeshW, MeshH int
-
-	L1Bytes, L1Ways int
-	L2Bytes, L2Ways int
-
-	PFBytes, PFWays int
-
-	CacheNs, DirNs, DRAMNs, LinkNs float64
-	DRAMIntervalNs                 float64
-
-	LinkBytesPerNs             float64
-	FlitBytes                  int
-	CtrlMsgBytes, DataMsgBytes int
-
-	MemMiBPerNode int
-
-	CheckInvariants bool
-	MaxEvents       uint64
-}
-
-func (j Job) configKey() configKey {
-	c := j.Config
-	return configKey{
-		Threads:           c.Threads,
-		AccessesPerThread: c.AccessesPerThread,
-		Seed:              c.Seed,
-		Policy:            c.Policy,
-		ALLARMRanges:      c.ALLARMRanges,
-		MemPolicy:         c.MemPolicy,
-		Nodes:             c.Nodes,
-		MeshW:             c.MeshW,
-		MeshH:             c.MeshH,
-		L1Bytes:           c.L1Bytes,
-		L1Ways:            c.L1Ways,
-		L2Bytes:           c.L2Bytes,
-		L2Ways:            c.L2Ways,
-		PFBytes:           c.PFBytes,
-		PFWays:            c.PFWays,
-		CacheNs:           c.CacheNs,
-		DirNs:             c.DirNs,
-		DRAMNs:            c.DRAMNs,
-		LinkNs:            c.LinkNs,
-		DRAMIntervalNs:    c.DRAMIntervalNs,
-		LinkBytesPerNs:    c.LinkBytesPerNs,
-		FlitBytes:         c.FlitBytes,
-		CtrlMsgBytes:      c.CtrlMsgBytes,
-		DataMsgBytes:      c.DataMsgBytes,
-		MemMiBPerNode:     c.MemMiBPerNode,
-		CheckInvariants:   c.CheckInvariants,
-		MaxEvents:         c.MaxEvents,
+	c := &j.Config
+	b := make([]byte, 0, 512)
+	b = append(j.appendWorkloadKey(b), '|')
+	b = strconv.AppendBool(b, mpActive)
+	b = appendKeyInt(b, "|{Copies:", mp.Copies)
+	b = appendKeyInt(b, " FootprintBytes:", mp.FootprintBytes)
+	b = appendKeyInt(b, " LocalMemBytes:", mp.LocalMemBytes)
+	b = appendKeyInt(b, "}|{Threads:", c.Threads)
+	b = appendKeyInt(b, " AccessesPerThread:", c.AccessesPerThread)
+	b = strconv.AppendUint(append(b, " Seed:"...), c.Seed, 10)
+	b = append(append(b, " Policy:"...), c.Policy.String()...)
+	b = append(b, " ALLARMRanges:["...)
+	for i, r := range c.ALLARMRanges {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendUint(append(b, "{Start:"...), r.Start, 10)
+		b = strconv.AppendUint(append(b, " End:"...), r.End, 10)
+		b = append(b, '}')
 	}
+	b = appendKeyInt(b, "] MemPolicy:", int(c.MemPolicy))
+	b = appendKeyInt(b, " Nodes:", c.Nodes)
+	b = appendKeyInt(b, " MeshW:", c.MeshW)
+	b = appendKeyInt(b, " MeshH:", c.MeshH)
+	b = appendKeyInt(b, " L1Bytes:", c.L1Bytes)
+	b = appendKeyInt(b, " L1Ways:", c.L1Ways)
+	b = appendKeyInt(b, " L2Bytes:", c.L2Bytes)
+	b = appendKeyInt(b, " L2Ways:", c.L2Ways)
+	b = appendKeyInt(b, " PFBytes:", c.PFBytes)
+	b = appendKeyInt(b, " PFWays:", c.PFWays)
+	b = appendKeyFloat(b, " CacheNs:", c.CacheNs)
+	b = appendKeyFloat(b, " DirNs:", c.DirNs)
+	b = appendKeyFloat(b, " DRAMNs:", c.DRAMNs)
+	b = appendKeyFloat(b, " LinkNs:", c.LinkNs)
+	b = appendKeyFloat(b, " DRAMIntervalNs:", c.DRAMIntervalNs)
+	b = appendKeyFloat(b, " LinkBytesPerNs:", c.LinkBytesPerNs)
+	b = appendKeyInt(b, " FlitBytes:", c.FlitBytes)
+	b = appendKeyInt(b, " CtrlMsgBytes:", c.CtrlMsgBytes)
+	b = appendKeyInt(b, " DataMsgBytes:", c.DataMsgBytes)
+	b = appendKeyInt(b, " MemMiBPerNode:", c.MemMiBPerNode)
+	b = strconv.AppendBool(append(b, " CheckInvariants:"...), c.CheckInvariants)
+	b = strconv.AppendUint(append(b, " MaxEvents:"...), c.MaxEvents, 10)
+	return string(append(b, '}'))
+}
+
+// appendKeyInt appends one Key field: its label, then v as %v prints it.
+func appendKeyInt(b []byte, label string, v int) []byte {
+	return strconv.AppendInt(append(b, label...), int64(v), 10)
+}
+
+// appendKeyFloat appends one Key field: its label, then v as %v prints
+// a float64 (the shortest 'g' form, "+Inf", "NaN").
+func appendKeyFloat(b []byte, label string, v float64) []byte {
+	return strconv.AppendFloat(append(b, label...), v, 'g', -1, 64)
 }
 
 // Sweep is an ordered list of jobs — the declarative spec of an
