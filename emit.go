@@ -153,19 +153,33 @@ func RecordsOf(results []SweepResult) []Record {
 // as NDJSONEmitter writes them). It is the gather side of the fleet
 // merge seam: Records survive the NDJSON round trip losslessly —
 // re-emitting what ReadRecords returns produces the original bytes —
-// because Go's JSON encoder prints floats in their shortest exact form.
+// because floats are written in their shortest exact form, which
+// strconv.ParseFloat reads back to the same bits.
+//
+// Lines in the canonical form NDJSONEmitter writes — only Record's own
+// keys, each at most once, no whitespace, strings without escapes,
+// JSON-grammar numbers — are decoded by a reflection-free scanner.
+// Every other line (escaped strings, unknown keys from a newer writer,
+// whitespace, null, anything malformed) goes to json.Unmarshal, so what
+// ReadRecords accepts and returns is exactly what json.Unmarshal would
+// give for each line.
 func ReadRecords(r io.Reader) ([]Record, error) {
 	var recs []Record
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	// Lines are a few hundred bytes: start at the scanner's 4 KiB and
+	// grow only for longer ones, up to 1 MiB.
+	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
 		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, fmt.Errorf("allarm: record %d: %w", len(recs), err)
+		if !parseRecord(line, &rec) {
+			rec = Record{}
+			if err := json.Unmarshal(line, &rec); err != nil {
+				return nil, fmt.Errorf("allarm: record %d: %w", len(recs), err)
+			}
 		}
 		recs = append(recs, rec)
 	}
@@ -298,6 +312,13 @@ func (e JSONEmitter) EmitRecords(w io.Writer, recs []Record) error {
 // buffering the whole array. It is also the fleet wire format:
 // allarm-router gathers shard results as NDJSON, decodes them with
 // ReadRecords and re-renders the merged rows byte-identically.
+//
+// Each line is byte-identical to what json.Encoder writes for the
+// Record (HTML-safe string escaping, encoding/json's float form, the
+// omitempty keys), but is appended into one reused buffer without
+// reflection and written with one Write per record, so memory stays
+// bounded however many jobs the sweep has. A NaN or infinite metric is
+// an error, as it is for json.Encoder; the lines before it are written.
 type NDJSONEmitter struct{}
 
 // Emit implements Emitter.
@@ -307,9 +328,13 @@ func (e NDJSONEmitter) Emit(w io.Writer, results []SweepResult) error {
 
 // EmitRecords implements RecordEmitter.
 func (NDJSONEmitter) EmitRecords(w io.Writer, recs []Record) error {
-	enc := json.NewEncoder(w)
-	for _, rec := range recs {
-		if err := enc.Encode(rec); err != nil {
+	var buf []byte
+	for i := range recs {
+		var err error
+		if buf, err = appendRecord(buf[:0], &recs[i]); err != nil {
+			return err
+		}
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
 	}

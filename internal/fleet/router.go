@@ -71,7 +71,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"math/rand"
 	"net/http"
@@ -147,12 +146,9 @@ type Options struct {
 	// overrides the schedule.
 	RetryBackoff time.Duration
 	// ShardTimeout bounds every non-streaming shard call — submit, poll,
-	// record fetch, trace upload (<= 0: RequestTimeout, then 30s). A hung
-	// shard therefore costs at most Attempts × ShardTimeout per step.
+	// record fetch, trace upload (<= 0: 30s). A hung shard therefore
+	// costs at most Attempts × ShardTimeout per step.
 	ShardTimeout time.Duration
-	// RequestTimeout is the deprecated name for ShardTimeout, honored
-	// when ShardTimeout is unset.
-	RequestTimeout time.Duration
 	// StateDir, when non-empty, enables the sweep journal: accepted
 	// sweeps, gathered-record checkpoints, uploaded traces and membership
 	// changes are persisted there and recovered at boot.
@@ -253,9 +249,6 @@ func New(opts Options) (*Router, error) {
 	}
 	if rt.backoff <= 0 {
 		rt.backoff = defaultRetryBackoff
-	}
-	if rt.timeout <= 0 {
-		rt.timeout = opts.RequestTimeout
 	}
 	if rt.timeout <= 0 {
 		rt.timeout = defaultShardTimeout
@@ -962,7 +955,7 @@ func (rt *Router) retryDelay(lastErr error, attempt int) time.Duration {
 func (rt *Router) awaitTerminal(ctx context.Context, sh *shard, id string, streamDone <-chan struct{}) error {
 	fails := 0
 	for {
-		v, err := sh.sweepStatus(ctx, id, rt.timeout)
+		status, err := sh.sweepStatus(ctx, id, rt.timeout)
 		switch {
 		case err != nil:
 			if !retryable(err) {
@@ -973,7 +966,7 @@ func (rt *Router) awaitTerminal(ctx context.Context, sh *shard, id string, strea
 				return fmt.Errorf("status: %w", err)
 			}
 			sh.retries.Add(1)
-		case v.Status == server.StatusDone || v.Status == server.StatusCheckpointed:
+		case status == server.StatusDone || status == server.StatusCheckpointed:
 			return nil
 		default:
 			fails = 0
@@ -1047,7 +1040,7 @@ func (rt *Router) lookupTrace(id string) allarm.Workload {
 // to every shard so sub-sweep submits do not each pay a 400-retry round
 // trip. A shard that lacks a held trace is re-pushed by runShardSweep.
 func (rt *Router) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxTraceBytes))
+	data, err := server.ReadBody(w, r, maxTraceBytes)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("reading trace: %w", err))
 		return

@@ -256,11 +256,15 @@ func (sh *shard) fetchTimeline(ctx context.Context, id string, timeout time.Dura
 	return tv, err
 }
 
-// sweepStatus fetches a shard sweep's status view.
-func (sh *shard) sweepStatus(ctx context.Context, id string, timeout time.Duration) (server.SweepView, error) {
-	var v server.SweepView
+// sweepStatus fetches a shard sweep's status ("running", "done", ...).
+// Only that field of the view is decoded: the per-job views it also
+// carries are skipped, not built, on every poll.
+func (sh *shard) sweepStatus(ctx context.Context, id string, timeout time.Duration) (string, error) {
+	var v struct {
+		Status string `json:"status"`
+	}
 	err := sh.doJSON(ctx, http.MethodGet, "/v1/sweeps/"+id, nil, timeout, &v)
-	return v, err
+	return v.Status, err
 }
 
 // uploadTrace posts raw trace bytes (broadcast and 400-recovery paths).
@@ -293,9 +297,14 @@ func (sh *shard) uploadTrace(ctx context.Context, data []byte, timeout time.Dura
 
 // fetchRecords downloads a finished shard sweep's results as NDJSON and
 // decodes them into Records — the gather half of the merge seam. NDJSON
-// is the wire format because Go's JSON float round-trip is exact: the
-// router re-encodes the decoded records bit-identically, which is what
-// makes gathered output byte-equal to a single-node run.
+// is the wire format because its float round trip is exact: shards
+// write each float in its shortest exact form, ReadRecords parses it
+// back to the same bits, and the router re-encodes the decoded records
+// bit-identically, which is what makes gathered output byte-equal to a
+// single-node run. The shards' lines are in the canonical form that
+// ReadRecords scans without reflection; any other line (say, from a
+// shard of a newer version with an extra key) still decodes, through
+// json.Unmarshal.
 func (sh *shard) fetchRecords(ctx context.Context, id string, timeout time.Duration) ([]allarm.Record, error) {
 	cctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()

@@ -63,7 +63,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -89,6 +88,9 @@ const (
 	maxSubmitBytes = 1 << 20
 	// maxTraceBytes bounds a POST /v1/traces body.
 	maxTraceBytes = 64 << 20
+	// maxBodyPresize caps the buffer ReadBody allocates from a declared
+	// Content-Length before any of the body has arrived.
+	maxBodyPresize = 1 << 20
 	// maxTraces bounds the uploaded-trace store (each entry pins a
 	// parsed replay in memory); the least recently uploaded is evicted.
 	// Sweeps capture their Workload at submit time, so evicting a trace
@@ -902,20 +904,25 @@ func (s *Server) runSweep(st *sweepState) {
 		s.mu.Unlock()
 		s.active.Done()
 	}()
+	// Each job's key is rendered once here for Start and JobDone (exec,
+	// which gets no index, renders its own).
+	keys := make([]string, len(st.sweep.Jobs))
+	for i, j := range st.sweep.Jobs {
+		keys[i] = j.Key()
+	}
 	runner := &allarm.Runner{
 		// Per-sweep fan-out matches the pool width; the pool itself is
 		// enforced globally in exec, so concurrent sweeps share — not
 		// multiply — the simulation workers. Cache hits and coalesced
 		// jobs resolve without occupying a pool slot.
 		Parallelism: s.workers,
-		Start: func(i, _ int, j allarm.Job) {
-			s.registerJobRef(j.Key(), st, i)
+		Start: func(i, _ int, _ allarm.Job) {
+			s.registerJobRef(keys[i], st, i)
 			st.jobStarted(i)
 		},
 		JobDone: func(i, _ int, r allarm.SweepResult) {
-			key := r.Job.Key()
-			s.unregisterJobRef(key, st, i)
-			st.jobFinished(i, r, s.takeResumed(key))
+			s.unregisterJobRef(keys[i], st, i)
+			st.jobFinished(i, r, s.takeResumed(keys[i]))
 		},
 		Exec: s.exec,
 	}
@@ -1290,8 +1297,23 @@ type TraceResponse struct {
 	Threads  int    `json:"threads"`
 }
 
+// ReadBody reads a request body of at most limit bytes (a longer one is
+// http.MaxBytesReader's error) into a buffer presized from the declared
+// Content-Length, so a body up to 1 MiB — an uploaded trace, typically —
+// is read with one allocation and no copying. The presize is clamped to
+// that 1 MiB: a request that declares more than it sends costs at most
+// the clamp up front, and larger bodies grow the buffer as they arrive.
+// Both daemons read trace uploads through it.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	size := min(max(r.ContentLength, 0), maxBodyPresize, limit)
+	// MinRead spare: the final read that sees EOF must not regrow.
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	return buf.Bytes(), err
+}
+
 func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxTraceBytes))
+	data, err := ReadBody(w, r, maxTraceBytes)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("reading trace: %w", err))
 		return

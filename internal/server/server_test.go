@@ -641,3 +641,44 @@ func TestSimThreadsInjectedAtExec(t *testing.T) {
 		t.Fatal("SimThreads changed the job key; cached results would split by thread count")
 	}
 }
+
+// TestJobRefsFollowJobKeys: while a job runs, its sweep entry is
+// registered under that job's key — per-job runner events such as
+// "checkpointed" reach the sweep's timeline through it — and every
+// entry is released once the sweep finishes.
+func TestJobRefsFollowJobKeys(t *testing.T) {
+	var s *Server
+	var misfiled atomic.Int64
+	s, base := newTestServer(t, Options{
+		Workers: 2,
+		RunJob: func(_ context.Context, j allarm.Job) (*allarm.Result, error) {
+			key := j.Key()
+			s.mu.Lock()
+			refs := s.jobRefs[key]
+			if len(refs) == 0 {
+				misfiled.Add(1)
+			}
+			for _, ref := range refs {
+				if ref.st.sweep.Jobs[ref.idx].Key() != key {
+					misfiled.Add(1)
+				}
+			}
+			s.mu.Unlock()
+			return &allarm.Result{Benchmark: j.WorkloadName(), RuntimeNs: 1}, nil
+		},
+	})
+	sr := submit(t, base, SweepRequest{
+		Benchmarks: []string{"barnes", "blackscholes", "cholesky", "dedup", "fluidanimate", "x264"},
+		Config:     &ConfigOverrides{Threads: 2, AccessesPerThread: 10},
+	})
+	waitDone(t, base, sr.ID)
+	if n := misfiled.Load(); n != 0 {
+		t.Errorf("%d running jobs were not registered under their own key", n)
+	}
+	s.mu.Lock()
+	left := len(s.jobRefs)
+	s.mu.Unlock()
+	if left != 0 {
+		t.Errorf("%d job keys still registered after the sweep finished", left)
+	}
+}
